@@ -55,7 +55,7 @@ core::SystemConfig spec_base_config(const bench::CliOptions& opt,
   core::SystemConfig cfg = bench::base_config(opt);
   if (!spec.base_config.is_null()) {
     core::apply_json(cfg, spec.base_config);
-    core::validate(cfg);
+    bench::validate_base(cfg);
   }
   return cfg;
 }

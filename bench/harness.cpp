@@ -225,8 +225,14 @@ core::SystemConfig base_config(const CliOptions& opt) {
   }
   if (opt.seed != 0) cfg.seed = opt.seed;
   if (opt.sim_threads != 0) cfg.sim_threads = opt.sim_threads;
-  core::validate(cfg);
+  validate_base(cfg);
   return cfg;
+}
+
+void validate_base(const core::SystemConfig& cfg) {
+  core::SystemConfig checked = cfg;
+  checked.sim_threads = std::min(cfg.sim_threads, cfg.num_nodes());
+  core::validate(checked);
 }
 
 std::vector<std::uint32_t> paper_cpu_counts(std::uint32_t min_cpus) {

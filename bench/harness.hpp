@@ -81,9 +81,15 @@ struct CliOptions {
 
 /// A default SystemConfig with every config-side CLI override applied, in
 /// order: the --config file, each --set key=value, then --seed. The
-/// result is validated; errors (unknown keys, inconsistent knobs) throw
-/// core::ConfigError naming the field. Every swept config starts here.
+/// result is checked by validate_base(); errors (unknown keys,
+/// inconsistent knobs) throw core::ConfigError naming the field. Every
+/// swept config starts here.
 [[nodiscard]] core::SystemConfig base_config(const CliOptions& opt);
+
+/// core::validate() for a config that sweep cells still override: every
+/// check but sim_threads against the node count, which a cell's own
+/// num_cpus decides (run_spec validates each materialized cell).
+void validate_base(const core::SystemConfig& cfg);
 
 /// Strict parser: malformed values (non-numeric, empty, zero CPU counts,
 /// out-of-range) throw std::runtime_error with a message naming the flag.

@@ -201,8 +201,7 @@ void validate(const SystemConfig& c) {
            "power of two >= 8), got " + std::to_string(g.line_bytes));
     }
     if (g.ways == 0 || g.ways > 8) {
-      fail(p + ".ways", "must be in [1, 8] (the cache tracks ways in a "
-                        "one-byte mask), got " + std::to_string(g.ways));
+      fail(p + ".ways", "must be in [1, 8], got " + std::to_string(g.ways));
     }
     if (g.size_bytes == 0 || g.size_bytes % (g.ways * g.line_bytes) != 0) {
       fail(p + ".size_bytes",

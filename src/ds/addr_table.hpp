@@ -11,8 +11,9 @@
 // cache lines), stores entries in fixed slabs (stable addresses, recycled
 // through an intrusive free list), and never allocates in steady state.
 //
-// Determinism: iteration order is never exposed — only keyed lookup —
-// so replacing a map with this table cannot perturb event ordering.
+// Determinism: lookups are keyed, and `for_each` visits entries in slot
+// order, which depends only on the sequence of keys inserted — so
+// replacing a map with this table cannot perturb event ordering.
 #pragma once
 
 #include <cassert>
@@ -119,6 +120,14 @@ class AddrTable {
   }
 
   [[nodiscard]] std::size_t size() const { return count_; }
+
+  /// Visits every live entry, in slot order (not key order).
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.idx != kNilIndex) fn(at(s.idx));
+    }
+  }
 
  private:
   struct Slot {

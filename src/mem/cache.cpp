@@ -18,19 +18,15 @@ const char* to_string(LineState s) {
 Cache::Cache(const CacheGeometry& geometry)
     : geom_(geometry),
       words_per_line_(geometry.line_bytes / 8),
+      way_bytes_(sizeof(Line) + words_per_line_ * sizeof(std::uint64_t)),
       line_shift_(std::countr_zero(geometry.line_bytes)),
-      set_mask_(geometry.num_sets() - 1) {
+      set_mask_(geometry.num_sets() - 1),
+      sets_(/*initial_slots=*/16) {
   assert(geom_.size_bytes % (geom_.ways * geom_.line_bytes) == 0);
   assert((geom_.line_bytes & (geom_.line_bytes - 1)) == 0);
   assert(std::has_single_bit(geom_.num_sets()) &&
          "set count must be a power of two (indexed by mask)");
   assert(geom_.line_bytes / 8 <= LineBuf::kMaxWords);
-  assert(geom_.ways <= 8 && "way_init_ tracks ways in a one-byte mask");
-  const auto lines = static_cast<std::size_t>(geom_.num_sets()) * geom_.ways;
-  lines_ = std::make_unique_for_overwrite<Line[]>(lines);
-  words_ = std::make_unique_for_overwrite<std::uint64_t[]>(lines *
-                                                           words_per_line_);
-  way_init_.resize(geom_.num_sets());
 }
 
 std::uint32_t Cache::set_index(sim::Addr block) const {
@@ -39,18 +35,16 @@ std::uint32_t Cache::set_index(sim::Addr block) const {
 
 Cache::Line* Cache::find(sim::Addr addr, bool touch) {
   const sim::Addr block = line_base(addr);
-  const std::uint32_t si = set_index(block);
-  const std::uint32_t mask = way_init_[si];
-  Line* base = lines_.get() + static_cast<std::size_t>(si) * geom_.ways;
-  for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-    if ((mask & (1u << w)) == 0) continue;  // never constructed: a miss
-    Line& line = base[w];
-    if (line.state != LineState::kInvalid && line.block == block) {
-      if (touch) {
-        line.lru = ++lru_clock_;
-        ++stats_.hits;
+  if (const Set* set = sets_.find(set_index(block))) {
+    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
+      Line& line = way(*set, w);
+      if (line.state != LineState::kInvalid && line.block == block) {
+        if (touch) {
+          line.lru = ++lru_clock_;
+          ++stats_.hits;
+        }
+        return &line;
       }
-      return &line;
     }
   }
   if (touch) ++stats_.misses;
@@ -68,34 +62,27 @@ std::optional<Cache::Victim> Cache::insert(
   assert(data.size() == geom_.line_bytes / 8);
   assert(peek(block) == nullptr && "line already present");
 
-  const std::uint32_t si = set_index(block);
-  std::uint8_t& mask = way_init_[si];
-  Line* base = lines_.get() + static_cast<std::size_t>(si) * geom_.ways;
-  Line* slot = nullptr;
-  for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-    const bool constructed = (mask & (1u << w)) != 0;
-    if (!constructed || base[w].state == LineState::kInvalid) {
-      if (!constructed) {
-        base[w] = Line{};
-        mask = static_cast<std::uint8_t>(mask | (1u << w));
-      }
-      slot = &base[w];
-      break;
+  Set& set = sets_.get_or_create(set_index(block));
+  if (set.ways == nullptr) {
+    set.ways = std::make_unique<std::byte[]>(geom_.ways * way_bytes_);
+    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
+      new (set.ways.get() + w * way_bytes_) Line{};
     }
+  }
+  Line* slot = nullptr;
+  for (std::uint32_t w = 0; w < geom_.ways && slot == nullptr; ++w) {
+    if (way(set, w).state == LineState::kInvalid) slot = &way(set, w);
   }
   std::optional<Victim> victim;
   if (slot == nullptr) {
     // LRU among unpinned lines; pinned lines have an MSHR in flight and
-    // must stay resident until their transaction completes. Every way is
-    // constructed here: the set is full.
-    Line* lru = nullptr;
+    // must stay resident until their transaction completes.
     for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      Line& line = base[w];
+      Line& line = way(set, w);
       if (line.pinned) continue;
-      if (lru == nullptr || line.lru < lru->lru) lru = &line;
+      if (slot == nullptr || line.lru < slot->lru) slot = &line;
     }
-    assert(lru != nullptr && "every way pinned: too many concurrent MSHRs");
-    slot = lru;
+    assert(slot != nullptr && "every way pinned: too many concurrent MSHRs");
     victim.emplace(Victim{slot->block, slot->state, LineBuf(words(*slot))});
     ++stats_.evictions;
     if (slot->state == LineState::kModified) ++stats_.dirty_evictions;
@@ -104,7 +91,7 @@ std::optional<Cache::Victim> Cache::insert(
   slot->state = state;
   slot->pinned = false;
   slot->lru = ++lru_clock_;
-  std::copy(data.begin(), data.end(), line_words(*slot));
+  std::copy(data.begin(), data.end(), payload(*slot));
   return victim;
 }
 
@@ -120,17 +107,17 @@ std::optional<Cache::Victim> Cache::invalidate(sim::Addr addr) {
 
 std::uint64_t Cache::read_word(const Line& line, sim::Addr addr) const {
   assert(line.block == line_base(addr));
-  return words_[line_index(line) * words_per_line_ + word_index(addr)];
+  return payload(line)[word_index(addr)];
 }
 
 void Cache::write_word(Line& line, sim::Addr addr, std::uint64_t value) {
   assert(line.block == line_base(addr));
-  line_words(line)[word_index(addr)] = value;
+  payload(line)[word_index(addr)] = value;
 }
 
 void Cache::fill_words(const Line& line, std::span<const std::uint64_t> data) {
   assert(data.size() == words_per_line_);
-  std::copy(data.begin(), data.end(), line_words(line));
+  std::copy(data.begin(), data.end(), payload(line));
 }
 
 TagCache::TagCache(const CacheGeometry& geometry)

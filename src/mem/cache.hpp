@@ -7,12 +7,15 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "ds/addr_table.hpp"
 #include "mem/line_buf.hpp"
 #include "sim/stats_registry.hpp"
 #include "sim/types.hpp"
@@ -44,9 +47,8 @@ struct CacheStats {
 
 class Cache {
  public:
-  // Metadata only — 24 bytes, so a 4-way set's tags/state/LRU fit in
-  // two cache lines of the host. Word payloads live in one flat
-  // set-major block (`words_`), addressed by line index; see `words()`.
+  // Metadata — 24 bytes. In storage each Line is directly followed by
+  // its word payload; see `words()`.
   struct Line {
     sim::Addr block = 0;  // line base address
     LineState state = LineState::kInvalid;
@@ -90,12 +92,11 @@ class Cache {
                                         sim::Addr addr) const;
   void write_word(Line& line, sim::Addr addr, std::uint64_t value);
 
-  /// The line's word payload (words_per_line entries) in the flat
-  /// set-major data block. `line` must be a reference obtained from this
-  /// cache (find/peek) — the payload is located by line index.
+  /// The line's word payload (words_per_line entries). `line` must be a
+  /// reference obtained from this cache (find/peek): the payload is the
+  /// storage right after it.
   [[nodiscard]] std::span<const std::uint64_t> words(const Line& line) const {
-    return {words_.get() + line_index(line) * words_per_line_,
-            words_per_line_};
+    return {payload(line), words_per_line_};
   }
   /// Overwrites the line's payload (e.g. a fill from a data response).
   void fill_words(const Line& line, std::span<const std::uint64_t> data);
@@ -106,43 +107,44 @@ class Cache {
   /// Registers hit/miss/eviction counters under `prefix`.
   void register_stats(sim::StatsRegistry& reg, const std::string& prefix) const;
 
-  /// Iterates all valid lines (coherence-invariant checks in tests).
+  /// Iterates all valid lines (coherence-invariant checks in tests) in a
+  /// fixed order unrelated to address; costs O(touched sets).
   template <typename Fn>
   void for_each_line(Fn&& fn) const {
-    for (std::uint32_t s = 0; s < geom_.num_sets(); ++s) {
+    sets_.for_each([&](const Set& set) {
       for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-        if ((way_init_[s] & (1u << w)) == 0) continue;
-        const Line& line = lines_[static_cast<std::size_t>(s) * geom_.ways + w];
+        const Line& line = way(set, w);
         if (line.state != LineState::kInvalid) fn(line);
       }
-    }
+    });
   }
 
  private:
+  // Storage exists only for sets a run touches. A resident set is one
+  // block of `ways` records, each a Line followed by its payload words;
+  // `insert` allocates it (every way invalid) on the set's first fill,
+  // and it lives as long as the cache, so Line references stay valid.
+  struct Set {
+    std::uint32_t next_free = ds::kNilIndex;  // AddrTable pool link
+    std::unique_ptr<std::byte[]> ways;
+  };
+
   [[nodiscard]] std::uint32_t set_index(sim::Addr block) const;
-  [[nodiscard]] std::size_t line_index(const Line& line) const {
-    return static_cast<std::size_t>(&line - lines_.get());
+  [[nodiscard]] Line& way(const Set& set, std::uint32_t w) const {
+    return *std::launder(
+        reinterpret_cast<Line*>(set.ways.get() + w * way_bytes_));
   }
-  [[nodiscard]] std::uint64_t* line_words(const Line& line) {
-    return words_.get() + line_index(line) * words_per_line_;
+  [[nodiscard]] static std::uint64_t* payload(const Line& line) {
+    auto* bytes = reinterpret_cast<std::byte*>(const_cast<Line*>(&line));
+    return std::launder(reinterpret_cast<std::uint64_t*>(bytes + sizeof(Line)));
   }
 
   CacheGeometry geom_;
   std::size_t words_per_line_;
+  std::size_t way_bytes_;     // sizeof(Line) + payload
   std::uint32_t line_shift_;  // log2(line_bytes)
   std::uint32_t set_mask_;    // num_sets - 1 (power-of-two set count)
-  // Line metadata (sets * ways, set-major) and the parallel payload
-  // block, both deliberately *uninitialized* (make_unique_for_overwrite):
-  // a 256-cpu machine carries hundreds of MB of cache arrays, and
-  // zero-filling them up front dominates machine construction in sweeps
-  // that build one machine per (mechanism, cpu_count) cell. The only
-  // eagerly-zeroed state is `way_init_`, one byte per set: bit w says
-  // set's way w has been constructed. Untouched ways are misses by
-  // definition, and a way is default-constructed (then fully written)
-  // the first time `insert` seats a line in it.
-  std::unique_ptr<Line[]> lines_;
-  std::unique_ptr<std::uint64_t[]> words_;
-  std::vector<std::uint8_t> way_init_;  // per-set constructed-way bitmask
+  ds::AddrTable<Set> sets_;   // keyed by set index; resident sets only
   std::uint64_t lru_clock_ = 0;
   CacheStats stats_;
 };

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "mem/cache.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sync/barrier.hpp"
@@ -29,17 +30,20 @@
 namespace {
 
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_new_bytes{0};
 
 }  // namespace
 
 void* operator new(std::size_t n) {
   ++g_news;
+  g_new_bytes += n;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t a) {
   ++g_news;
+  g_new_bytes += n;
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(a), n) != 0) {
     throw std::bad_alloc();
@@ -182,6 +186,21 @@ TEST(AllocCount, CachedSpinEpisodeWithFallbackTimeoutsIsAllocationFree) {
   m.run();
   EXPECT_EQ(after - before, 0u)
       << "steady-state cached-spin episodes must not touch the heap";
+}
+
+// L2 storage is resident-only: building a cache allocates the same bytes
+// whatever its capacity (a set's storage arrives with its first fill), so
+// a 1024-CPU machine does not pay for 2 MB of empty lines per CPU.
+TEST(AllocCount, CacheConstructionCostIsIndependentOfCapacity) {
+  auto bytes_to_build = [](std::uint32_t size_bytes) {
+    const std::uint64_t before = g_new_bytes.load();
+    const mem::Cache cache(mem::CacheGeometry{size_bytes, 4, 128});
+    return g_new_bytes.load() - before;
+  };
+  const std::uint64_t two_mb = bytes_to_build(2u << 20);
+  const std::uint64_t sixty_four_mb = bytes_to_build(64u << 20);
+  EXPECT_EQ(two_mb, sixty_four_mb);
+  EXPECT_LE(two_mb, 1024u) << "construction must not size storage by capacity";
 }
 
 TEST(AllocCount, EngineSteadyStateScheduleIsAllocationFree) {

@@ -118,7 +118,7 @@ TEST(ConfigIo, ValidateRejectionTable) {
       {"num_cpus", "0"},
       {"cpus_per_node", "0"},
       {"cache.l1.ways", "0"},
-      {"cache.l1.ways", "9"},  // SharerMask is one byte per set way
+      {"cache.l1.ways", "9"},
       {"cache.l2.line_bytes", "12"},
       {"cache.l2.line_bytes", "4"},
       {"cache.l1.size_bytes", "1000"},

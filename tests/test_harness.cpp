@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench/harness.hpp"
+#include "bench/registry.hpp"
 #include "core/config_io.hpp"
 
 namespace amo::bench {
@@ -163,6 +164,28 @@ TEST(BaseConfig, RejectsUnknownKeysAndInvalidResults) {
   CliOptions missing_file;
   missing_file.config_path = "/no/such/config.json";
   EXPECT_THROW((void)base_config(missing_file), std::runtime_error);
+}
+
+// --sim-threads is bounded by each cell's node count, not by the default
+// 4-CPU base config's 2 nodes: K=4 fits 16-CPU cells (8 nodes), while a
+// 4-CPU cell still fails validation naming the field (amo_bench exits 2).
+TEST(BaseConfig, ChecksSimThreadsPerCellNotAgainstTheDefault) {
+  CliOptions opt;
+  opt.sim_threads = 4;
+  const core::SystemConfig base = base_config(opt);
+  EXPECT_EQ(base.sim_threads, 4u);
+
+  opt.cpus = {4};
+  opt.iters = 16;
+  const Workload* w = WorkloadRegistry::instance().find("microbench_service");
+  ASSERT_NE(w, nullptr);
+  try {
+    (void)run_spec(w->build(opt), base, 1);
+    FAIL() << "K=4 must not validate on a 2-node cell";
+  } catch (const core::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("sim_threads"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PaperCpuCounts, MatchesPaperAxes) {

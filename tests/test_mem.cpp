@@ -2,6 +2,10 @@
 // set-associative cache, and the L1 tag filter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "mem/backing.hpp"
@@ -160,6 +164,261 @@ TEST(Cache, ForEachLineVisitsValidOnly) {
   });
   EXPECT_EQ(count, 1);
 }
+
+// Oracle for the differential test below: the flat set/way layout the
+// cache used before its storage became resident-only — every set's ways
+// preallocated in one set-major array, payloads in a parallel array.
+class FlatCache {
+ public:
+  struct Line {
+    sim::Addr block = 0;
+    LineState state = LineState::kInvalid;
+    bool pinned = false;
+    std::uint64_t lru = 0;
+  };
+
+  explicit FlatCache(const CacheGeometry& g)
+      : g_(g),
+        wpl_(g.line_bytes / 8),
+        lines_(static_cast<std::size_t>(g.num_sets()) * g.ways),
+        words_(lines_.size() * wpl_) {}
+
+  Line* find(sim::Addr addr, bool touch) {
+    const sim::Addr block = addr & ~static_cast<sim::Addr>(g_.line_bytes - 1);
+    Line* base = set_base(block);
+    for (std::uint32_t w = 0; w < g_.ways; ++w) {
+      if (base[w].state != LineState::kInvalid && base[w].block == block) {
+        if (touch) {
+          base[w].lru = ++clock_;
+          ++stats_.hits;
+        }
+        return &base[w];
+      }
+    }
+    if (touch) ++stats_.misses;
+    return nullptr;
+  }
+
+  std::optional<Cache::Victim> insert(sim::Addr block, LineState state,
+                                      std::span<const std::uint64_t> data) {
+    Line* base = set_base(block);
+    Line* slot = nullptr;
+    for (std::uint32_t w = 0; w < g_.ways && slot == nullptr; ++w) {
+      if (base[w].state == LineState::kInvalid) slot = &base[w];
+    }
+    std::optional<Cache::Victim> victim;
+    if (slot == nullptr) {
+      for (std::uint32_t w = 0; w < g_.ways; ++w) {
+        if (base[w].pinned) continue;
+        if (slot == nullptr || base[w].lru < slot->lru) slot = &base[w];
+      }
+      victim.emplace(Cache::Victim{slot->block, slot->state,
+                                   LineBuf(words(*slot))});
+      ++stats_.evictions;
+      if (slot->state == LineState::kModified) ++stats_.dirty_evictions;
+    }
+    *slot = Line{block, state, false, ++clock_};
+    std::copy(data.begin(), data.end(), payload(*slot));
+    return victim;
+  }
+
+  std::optional<Cache::Victim> invalidate(sim::Addr addr) {
+    Line* line = find(addr, false);
+    if (line == nullptr) return std::nullopt;
+    ++stats_.invals_received;
+    Cache::Victim v{line->block, line->state, LineBuf(words(*line))};
+    line->state = LineState::kInvalid;
+    line->pinned = false;
+    return v;
+  }
+
+  std::span<const std::uint64_t> words(const Line& line) const {
+    return {words_.data() + index(line) * wpl_, wpl_};
+  }
+  std::uint64_t* payload(const Line& line) {
+    return words_.data() + index(line) * wpl_;
+  }
+  std::uint32_t pinned_in_set(sim::Addr block) {
+    const Line* base = set_base(block);
+    return static_cast<std::uint32_t>(std::count_if(
+        base, base + g_.ways, [](const Line& l) { return l.pinned; }));
+  }
+  const CacheStats& stats() const { return stats_; }
+
+  template <typename Fn>
+  void for_each_line(Fn&& fn) const {
+    for (const Line& line : lines_) {
+      if (line.state != LineState::kInvalid) fn(line);
+    }
+  }
+
+ private:
+  Line* set_base(sim::Addr block) {
+    const std::size_t set = (block / g_.line_bytes) & (g_.num_sets() - 1);
+    return lines_.data() + set * g_.ways;
+  }
+  std::size_t index(const Line& line) const {
+    return static_cast<std::size_t>(&line - lines_.data());
+  }
+
+  CacheGeometry g_;
+  std::size_t wpl_;
+  std::vector<Line> lines_;
+  std::vector<std::uint64_t> words_;
+  std::uint64_t clock_ = 0;
+  CacheStats stats_;
+};
+
+using LineImage = std::tuple<sim::Addr, LineState, bool, std::uint64_t,
+                             std::vector<std::uint64_t>>;
+
+template <typename C>
+std::vector<LineImage> resident_lines(const C& c) {
+  std::vector<LineImage> out;
+  c.for_each_line([&](const auto& l) {
+    const auto w = c.words(l);
+    out.emplace_back(l.block, l.state, l.pinned, l.lru,
+                     std::vector<std::uint64_t>(w.begin(), w.end()));
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void expect_same_victim(const std::optional<Cache::Victim>& got,
+                        const std::optional<Cache::Victim>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!got) return;
+  EXPECT_EQ(got->block, want->block);
+  EXPECT_EQ(got->state, want->state);
+  EXPECT_EQ(got->data.view().size(), want->data.view().size());
+  EXPECT_TRUE(std::equal(got->data.view().begin(), got->data.view().end(),
+                         want->data.view().begin()));
+}
+
+void expect_same_stats(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.dirty_evictions, b.dirty_evictions);
+  EXPECT_EQ(a.invals_received, b.invals_received);
+  EXPECT_EQ(a.word_updates, b.word_updates);
+}
+
+// Randomized differential test: the resident-only cache against the flat
+// oracle over inserts (with evictions), touching and non-touching finds,
+// invalidations, pin/unpin, word writes and line fills. Addresses are
+// drawn from a few sets (first, last, and random ones) with more tags
+// than ways, so sets fill, conflict and evict. Hit/miss results, line
+// metadata (LRU stamps included), victims, stats and the resident-line
+// image must match after every step.
+class CacheDifferential : public ::testing::TestWithParam<CacheGeometry> {};
+
+TEST_P(CacheDifferential, MatchesFlatOracle) {
+  const CacheGeometry g = GetParam();
+  Cache cache(g);
+  FlatCache oracle(g);
+  std::mt19937_64 rng(0x5eedcace + g.ways * 131 + g.size_bytes);
+  auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+
+  const std::uint64_t sets = g.num_sets();
+  std::vector<std::uint64_t> hot{0, sets - 1};
+  for (int i = 0; i < 4; ++i) hot.push_back(pick(sets));
+  const std::uint64_t tags = 2 * g.ways + 1;
+  auto random_addr = [&] {
+    const std::uint64_t set = hot[pick(hot.size())];
+    const std::uint64_t block = (pick(tags) * sets + set) * g.line_bytes;
+    return static_cast<sim::Addr>(block + 8 * pick(g.line_bytes / 8));
+  };
+  const std::size_t wpl = g.line_bytes / 8;
+  auto random_words = [&] {
+    std::vector<std::uint64_t> w(wpl);
+    for (auto& x : w) x = rng();
+    return w;
+  };
+  constexpr LineState kStates[] = {LineState::kShared, LineState::kExclusive,
+                                   LineState::kModified};
+
+  for (int step = 0; step < 20000; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const sim::Addr addr = random_addr();
+    const sim::Addr block = cache.line_base(addr);
+    Cache::Line* line = cache.find(addr, /*touch=*/false);
+    FlatCache::Line* want = oracle.find(addr, /*touch=*/false);
+    ASSERT_EQ(line != nullptr, want != nullptr);
+    switch (pick(7)) {
+      case 0:
+      case 1: {  // find with touch, plus a word read on hit
+        line = cache.find(addr);
+        want = oracle.find(addr, true);
+        ASSERT_EQ(line != nullptr, want != nullptr);
+        if (line != nullptr) {
+          EXPECT_EQ(cache.read_word(*line, addr),
+                    oracle.words(*want)[(addr - block) / 8]);
+        }
+        break;
+      }
+      case 2: {  // insert (only legal when absent)
+        if (line != nullptr) break;
+        const std::vector<std::uint64_t> data = random_words();
+        const LineState st = kStates[pick(3)];
+        expect_same_victim(cache.insert(block, st, data),
+                           oracle.insert(block, st, data));
+        break;
+      }
+      case 3:  // invalidate, present or not
+        expect_same_victim(cache.invalidate(addr), oracle.invalidate(addr));
+        break;
+      case 4: {  // pin (leaving a way to evict) or unpin
+        if (line == nullptr) break;
+        const bool pin = !line->pinned &&
+                         oracle.pinned_in_set(block) + 1 < g.ways;
+        line->pinned = pin;
+        want->pinned = pin;
+        break;
+      }
+      case 5: {  // write_word into a resident line
+        if (line == nullptr) break;
+        const std::uint64_t v = rng();
+        cache.write_word(*line, addr, v);
+        oracle.payload(*want)[(addr - block) / 8] = v;
+        break;
+      }
+      case 6: {  // fill_words over a resident line
+        if (line == nullptr) break;
+        const std::vector<std::uint64_t> data = random_words();
+        cache.fill_words(*line, data);
+        std::copy(data.begin(), data.end(), oracle.payload(*want));
+        break;
+      }
+    }
+    if (Cache::Line* l = cache.find(addr, false)) {
+      const FlatCache::Line* o = oracle.find(addr, false);
+      ASSERT_NE(o, nullptr);
+      EXPECT_EQ(l->block, o->block);
+      EXPECT_EQ(l->state, o->state);
+      EXPECT_EQ(l->pinned, o->pinned);
+      EXPECT_EQ(l->lru, o->lru);
+    }
+    expect_same_stats(cache.stats(), oracle.stats());
+    if (step % 97 == 0) {
+      ASSERT_EQ(resident_lines(cache), resident_lines(oracle));
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(resident_lines(cache), resident_lines(oracle));
+  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_GT(cache.stats().hits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Values(CacheGeometry{2 * 2 * 128, 2, 128},  // tinycache
+                      CacheGeometry{},                     // default 4-way
+                      CacheGeometry{256 * 1024, 8, 128}),  // 8-way
+    [](const ::testing::TestParamInfo<CacheGeometry>& info) {
+      return std::to_string(info.param.ways) + "way_" +
+             std::to_string(info.param.num_sets()) + "sets";
+    });
 
 TEST(TagCache, ProbeFillInvalidate) {
   TagCache t(tiny_cache());
