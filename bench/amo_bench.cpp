@@ -1,6 +1,6 @@
-// amo_bench: the one bench driver. Every former tableN_*/figN_*/ablation_*
-// binary is a registered workload; `run` executes any of them (current or
-// legacy name), `dump` prints the scenario JSON a run would execute, and
+// amo_bench: the one bench driver. Every paper table, figure, ablation and
+// microbench is a registered workload; `run` executes any of them by
+// name, `dump` prints the scenario JSON a run would execute, and
 // `run --spec=FILE` executes a scenario file — so every experiment is
 // reproducible from a serialized artifact.
 #include <cstdio>
@@ -22,13 +22,14 @@ void print_usage(std::FILE* out) {
       out,
       "usage: amo_bench <command> [options]\n"
       "commands:\n"
-      "  list               show every workload (name, legacy name)\n"
-      "  run <name>...      run named workloads (current or legacy names)\n"
+      "  list               show every workload\n"
+      "  run <name>...      run named workloads\n"
       "  run --spec=FILE    run scenario files\n"
       "  dump <name>        print the scenario JSON a run would execute\n"
       "  all                run every workload\n"
       "options: --cpus=a,b,c  --episodes=N  --iters=N  --threads=N"
-      "  --seed=N  --quick  --json=PATH  --config=FILE  --set KEY=VALUE\n");
+      "  --sim-threads=K  --seed=N  --quick  --json=PATH  --config=FILE"
+      "  --set KEY=VALUE\n");
 }
 
 std::string candidate_names() {
@@ -60,15 +61,39 @@ core::SystemConfig spec_base_config(const bench::CliOptions& opt,
   return cfg;
 }
 
-void run_one(const bench::Workload& w, const bench::CliOptions& opt,
-             const std::string& json_path) {
-  bench::CliOptions o = opt;
-  o.json_path = json_path;
-  bench::JsonReporter reporter(o, w.legacy_name);
-  const bench::SweepSpec spec = w.build(o);
+/// Runs one spec and prints its tables (a registered workload's, or the
+/// generic per-cell listing). With a --json path, the file is opened once
+/// every cell config has validated but before any cell runs, so a bad
+/// path fails fast; the document is written after the tables.
+void run_and_print(const bench::SweepSpec& spec, const bench::Workload* w,
+                   const bench::CliOptions& opt, const std::string& json_path) {
+  const core::SystemConfig base = spec_base_config(opt, spec);
+  const std::vector<core::SystemConfig> cfgs = bench::materialize(spec, base);
+  std::ofstream json;
+  if (!json_path.empty()) {
+    json.open(json_path, std::ios::trunc);
+    if (!json) {
+      throw std::runtime_error("--json: cannot open '" + json_path +
+                               "' for writing");
+    }
+  }
   const std::vector<bench::CellResult> results =
-      bench::run_spec(spec, spec_base_config(o, spec), o.threads);
-  w.print(spec, results);
+      bench::run_spec(spec, base, opt.threads, json.is_open());
+  if (w == nullptr) {
+    bench::print_generic(spec, results);
+  } else {
+    for (const bench::TableSpec& t : w->tables) {
+      std::fputs(bench::format_table(t, spec, cfgs, results).c_str(), stdout);
+    }
+    std::printf("\n%s\n", w->notes);
+  }
+  std::fflush(stdout);
+  if (json.is_open()) {
+    json << bench::json_document(spec, results).dump(2) << '\n';
+    if (!json.good()) {
+      throw std::runtime_error("--json: short write to '" + json_path + "'");
+    }
+  }
 }
 
 void run_spec_file(const std::string& path, const bench::CliOptions& opt,
@@ -85,21 +110,12 @@ void run_spec_file(const std::string& path, const bench::CliOptions& opt,
   } catch (const std::exception& e) {
     throw std::runtime_error(path + ": " + e.what());
   }
-  bench::CliOptions o = opt;
-  o.json_path = json_path;
-  bench::JsonReporter reporter(o, spec.bench_name);
-  const std::vector<bench::CellResult> results =
-      bench::run_spec(spec, spec_base_config(o, spec), o.threads);
-  // A scenario that names a registered workload inherits its table format.
+  // A scenario that names a registered workload inherits its tables.
   const bench::Workload* w =
       spec.workload.empty()
           ? nullptr
           : bench::WorkloadRegistry::instance().find(spec.workload);
-  if (w != nullptr) {
-    w->print(spec, results);
-  } else {
-    bench::print_generic(spec, results);
-  }
+  run_and_print(spec, w, opt, json_path);
 }
 
 int run_driver(int argc, char** argv) {
@@ -142,12 +158,9 @@ int run_driver(int argc, char** argv) {
   const bench::WorkloadRegistry& reg = bench::WorkloadRegistry::instance();
 
   if (command == "list") {
-    std::printf("%-26s %-26s %s\n", "name", "legacy name", "description");
+    std::printf("%-26s %s\n", "name", "description");
     for (const bench::Workload& w : reg.all()) {
-      std::printf("%-26s %-26s %s\n", w.name,
-                  std::strcmp(w.name, w.legacy_name) == 0 ? "-"
-                                                          : w.legacy_name,
-                  w.description);
+      std::printf("%-26s %s\n", w.name, w.description);
     }
     return 0;
   }
@@ -171,7 +184,8 @@ int run_driver(int argc, char** argv) {
   if (command == "all") {
     const bool multiple = reg.all().size() > 1;
     for (const bench::Workload& w : reg.all()) {
-      run_one(w, opt, json_path_for(opt.json_path, w.name, multiple));
+      run_and_print(w.build(opt), &w, opt,
+                    json_path_for(opt.json_path, w.name, multiple));
     }
     return 0;
   }
@@ -198,7 +212,8 @@ int run_driver(int argc, char** argv) {
   }
   const bool multiple = chosen.size() + specs.size() > 1;
   for (const bench::Workload* w : chosen) {
-    run_one(*w, opt, json_path_for(opt.json_path, w->name, multiple));
+    run_and_print(w->build(opt), w, opt,
+                  json_path_for(opt.json_path, w->name, multiple));
   }
   for (const std::string& path : specs) {
     std::string stem = path;

@@ -1,65 +1,15 @@
-// Shared benchmark harness: builds a machine, runs the paper's barrier /
-// lock microbenchmarks over a chosen mechanism, and reports cycles and
-// traffic. Every tableN_*/figN_* binary is a thin sweep over this.
+// The bench command line: sweep options, the base SystemConfig every
+// swept cell starts from, and the strict CLI parser behind amo_bench.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/machine.hpp"
-#include "net/network.hpp"
-#include "sim/inline_fn.hpp"
-#include "sim/json.hpp"
-#include "sync/barrier.hpp"
-#include "sync/lock.hpp"
-#include "sync/mechanism.hpp"
+#include "core/system_config.hpp"
 
 namespace amo::bench {
-
-enum class BarrierKind : std::uint8_t { kCentral, kTree };
-
-struct BarrierParams {
-  sync::Mechanism mech = sync::Mechanism::kLlSc;
-  BarrierKind kind = BarrierKind::kCentral;
-  std::uint32_t fanout = 4;     // tree only
-  int warmup_episodes = 2;
-  int episodes = 8;
-  std::uint64_t max_skew = 200;  // random work before each episode
-};
-
-struct TrafficSnapshot {
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-};
-
-struct BarrierResult {
-  double cycles_per_barrier = 0;
-  double cycles_per_proc = 0;  // Figure 5/6 metric: barrier latency / P
-  TrafficSnapshot traffic;     // network traffic over measured episodes
-};
-
-BarrierResult run_barrier(const core::SystemConfig& cfg,
-                          const BarrierParams& params);
-
-struct LockParams {
-  sync::Mechanism mech = sync::Mechanism::kLlSc;
-  bool array = false;          // false: ticket lock
-  int warmup_iters = 1;
-  int iters = 6;               // acquisitions per processor
-  sim::Cycle cs_cycles = 50;   // critical-section work
-  std::uint64_t max_skew = 200;
-};
-
-struct LockResult {
-  double total_cycles = 0;       // measured-region wall time
-  double cycles_per_acquire = 0; // total / (P * iters)
-  TrafficSnapshot traffic;
-};
-
-LockResult run_lock(const core::SystemConfig& cfg, const LockParams& params);
 
 /// The paper's processor-count axis (Tables 2/4); Table 3 starts at 16.
 std::vector<std::uint32_t> paper_cpu_counts(std::uint32_t min_cpus = 4);
@@ -95,99 +45,8 @@ void validate_base(const core::SystemConfig& cfg);
 /// out-of-range) throw std::runtime_error with a message naming the flag.
 CliOptions parse_cli(int argc, char** argv);
 
-/// Same, but prints the error to stderr and exits(2) — what bench main()s
-/// use so bad input yields a clear message and a non-zero exit code.
+/// Same, but prints the error to stderr and exits(2), so bad input yields
+/// a clear message and a non-zero exit code.
 CliOptions parse_cli_or_exit(int argc, char** argv);
-
-/// Collects machine-readable benchmark records and writes them as one JSON
-/// document ({bench, schema_version, records: [...]}) on destruction.
-///
-/// Constructing a reporter installs it as the process-wide sink that
-/// run_barrier()/run_lock() feed records into (each record carries the
-/// swept config, the measured results, traffic deltas, and a full
-/// StatsRegistry dump), so a bench main() only needs:
-///
-///   bench::JsonReporter rep(opt, "table2_barriers");
-///
-/// Hand-rolled benches append their own records via current()->add().
-/// Inactive (no --json=path) reporters are no-ops.
-///
-/// Concurrency: add() is safe to call from SweepRunner worker threads.
-/// While a capture buffer is installed on the calling thread (see
-/// begin_capture), records land there lock-free; otherwise add() appends
-/// to the shared array under a mutex. Writing still happens exactly once,
-/// on the owning thread, at destruction.
-class JsonReporter {
- public:
-  JsonReporter(const CliOptions& opt, std::string bench_name);
-  ~JsonReporter();
-  JsonReporter(const JsonReporter&) = delete;
-  JsonReporter& operator=(const JsonReporter&) = delete;
-
-  [[nodiscard]] bool active() const { return !path_.empty(); }
-  void add(sim::Json record);
-
-  /// Records accumulated so far (a JSON array) — mainly for tests. Only
-  /// meaningful once no sweep is running.
-  [[nodiscard]] const sim::Json& records() const { return records_; }
-
-  /// Writes the document now (also done by the destructor, once).
-  void write();
-
-  /// The installed sink, or nullptr when no reporter is alive.
-  [[nodiscard]] static JsonReporter* current();
-
-  /// Redirects this thread's add() calls into `buffer` (a JSON array)
-  /// until end_capture(). SweepRunner uses this to give each task a
-  /// private buffer so records can be flushed in deterministic task order
-  /// no matter which worker ran the task when.
-  static void begin_capture(sim::Json* buffer);
-  static void end_capture();
-
- private:
-  std::string path_;
-  std::string name_;
-  sim::Json records_ = sim::Json::array();
-  std::mutex mu_;      // guards records_ during concurrent add()
-  bool written_ = false;
-};
-
-/// Runs a list of independent simulation tasks — typically one (mechanism,
-/// cpu_count) cell of a sweep each — across a pool of worker threads, or
-/// inline when constructed with one thread. Each task owns its Machine
-/// (and therefore its Engine and RNG), so tasks never share mutable state.
-///
-/// JSON records a task emits through JsonReporter are buffered per task
-/// and flushed to the reporter in add() order after every task finishes,
-/// so --json output is byte-identical to a serial run regardless of the
-/// thread count or scheduling. Terminal output belongs after run():
-/// compute into per-task result slots, then print.
-class SweepRunner {
- public:
-  explicit SweepRunner(unsigned threads) : threads_(threads) {}
-
-  /// Queues a task. Tasks must not touch shared mutable state other than
-  /// the JsonReporter (which is capture-buffered for them). Tasks follow
-  /// the kernel's allocation discipline: small nothrow-movable captures
-  /// ride in the InlineFn's 48-byte buffer, oversized ones box through
-  /// the FramePool — never the global allocator.
-  void add(sim::InlineFn task) { tasks_.push_back(std::move(task)); }
-
-  [[nodiscard]] std::size_t pending() const { return tasks_.size(); }
-
-  /// Runs every queued task, blocks until all finish, flushes their JSON
-  /// records in queue order, and clears the queue.
-  void run();
-
- private:
-  unsigned threads_;
-  std::vector<sim::InlineFn> tasks_;
-};
-
-/// Fixed-width table printing helpers.
-void print_header(const std::string& title, const std::string& col0,
-                  const std::vector<std::string>& cols);
-void print_row(std::uint32_t cpus, const std::vector<double>& values,
-               int precision = 2);
 
 }  // namespace amo::bench

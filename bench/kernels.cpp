@@ -1,6 +1,6 @@
-// The cell kernels: each Kernel value dispatches to one simulation body.
-// These are the hand-rolled workloads of the former fig/ablation/extension
-// binaries, now driven by CellParams instead of their own main().
+// The cell kernels: each Kernel value dispatches to one simulation body,
+// driven by CellParams. A kernel returns its headline numbers in
+// CellResult and, when asked, its --json record.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -9,6 +9,7 @@
 
 #include "bench/scenario.hpp"
 #include "core/machine.hpp"
+#include "net/network.hpp"
 #include "sim/stats.hpp"
 #include "sim/timeout.hpp"
 #include "svc/service.hpp"
@@ -21,35 +22,38 @@ namespace amo::bench {
 
 namespace {
 
-CellResult run_barrier_cell(const core::SystemConfig& cfg,
-                            const CellParams& p) {
-  BarrierParams bp;
-  bp.mech = p.mech;
-  bp.kind = p.kind;
-  bp.fanout = p.fanout;
-  bp.warmup_episodes = p.warmup_episodes;
-  bp.episodes = p.episodes;
-  bp.max_skew = p.max_skew;
-  const BarrierResult r = run_barrier(cfg, bp);
-  return CellResult{r.cycles_per_barrier, r.cycles_per_proc, r.traffic, 0};
+TrafficSnapshot snap(const net::Network& n) {
+  return TrafficSnapshot{n.stats().packets, n.stats().bytes};
 }
 
-CellResult run_lock_cell(const core::SystemConfig& cfg, const CellParams& p) {
-  LockParams lp;
-  lp.mech = p.mech;
-  lp.array = p.array;
-  lp.warmup_iters = p.warmup_iters;
-  lp.iters = p.iters;
-  lp.cs_cycles = p.cs_cycles;
-  lp.max_skew = p.max_skew;
-  const LockResult r = run_lock(cfg, lp);
-  return CellResult{r.total_cycles, r.cycles_per_acquire, r.traffic, 0};
+sim::Json traffic_json(const TrafficSnapshot& t) {
+  sim::Json j = sim::Json::object();
+  j["packets"] = t.packets;
+  j["bytes"] = t.bytes;
+  return j;
+}
+
+// The machine knobs ablations sweep, so --json records are
+// self-describing even when a bench varies more than the CPU count.
+sim::Json config_json(const core::SystemConfig& cfg) {
+  sim::Json j = sim::Json::object();
+  j["num_cpus"] = cfg.num_cpus;
+  j["cpus_per_node"] = cfg.cpus_per_node;
+  j["hop_cycles"] = cfg.net.hop_cycles;
+  j["hardware_multicast"] = cfg.net.hardware_multicast;
+  j["amu_cache_words"] = cfg.amu.cache_words;
+  j["amu_eager_put_all"] = cfg.amu.eager_put_all;
+  j["seed"] = cfg.seed;
+  // Only when decomposed: serial records stay byte-identical to pre-PDES.
+  if (cfg.sim_threads > 1) j["sim_threads"] = cfg.sim_threads;
+  return j;
 }
 
 // The paper's Figure 1 scenario: a three-processor barrier, one processor
 // per node, the variable homed on a fourth node, counting every one-way
 // protocol message until all three proceed.
-CellResult run_fig1_cell(const core::SystemConfig& cfg, const CellParams& p) {
+CellResult run_fig1_cell(const core::SystemConfig& cfg, const CellParams& p,
+                         bool record) {
   const sync::Mechanism mech = p.mech;
   core::Machine m(cfg);
   const sim::Addr var = m.galloc().alloc_word_line(3);  // the home node
@@ -72,8 +76,10 @@ CellResult run_fig1_cell(const core::SystemConfig& cfg, const CellParams& p) {
     });
   }
   m.run();
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
+  CellResult r;
+  r.primary = static_cast<double>(done);
+  r.aux = m.stats().net.packets;
+  if (record) {
     sim::Json rec = sim::Json::object();
     rec["workload"] = "fig1_episode";
     rec["cpus"] = 3;
@@ -81,11 +87,8 @@ CellResult run_fig1_cell(const core::SystemConfig& cfg, const CellParams& p) {
     rec["one_way_messages"] = m.stats().net.packets;
     rec["cycles"] = done;
     rec["registry"] = m.stats_json();
-    rep->add(std::move(rec));
+    r.record = std::move(rec);
   }
-  CellResult r;
-  r.primary = static_cast<double>(done);
-  r.aux = m.stats().net.packets;
   return r;
 }
 
@@ -219,7 +222,7 @@ CellResult run_barrier_style_cell(const core::SystemConfig& cfg,
 }
 
 CellResult run_lock_algo_cell(const core::SystemConfig& cfg,
-                              const CellParams& p) {
+                              const CellParams& p, bool record) {
   core::Machine m(cfg);
   const int iters = p.iters;
   std::unique_ptr<sync::Lock> lock;
@@ -251,8 +254,9 @@ CellResult run_lock_algo_cell(const core::SystemConfig& cfg,
   }
   m.run();
   const double total = static_cast<double>(m.engine().now());
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
+  CellResult r;
+  r.primary = total;
+  if (record) {
     sim::Json rec = sim::Json::object();
     rec["workload"] = "lock_algo";
     rec["cpus"] = cfg.num_cpus;
@@ -263,10 +267,8 @@ CellResult run_lock_algo_cell(const core::SystemConfig& cfg,
     rec["traffic"]["packets"] = m.network().stats().packets;
     rec["traffic"]["bytes"] = m.network().stats().bytes;
     rec["registry"] = m.stats_json();
-    rep->add(std::move(rec));
+    r.record = std::move(rec);
   }
-  CellResult r;
-  r.primary = total;
   return r;
 }
 
@@ -276,7 +278,8 @@ CellResult run_lock_algo_cell(const core::SystemConfig& cfg,
 // waiter wakes a few times per episode, so host events per episode grow
 // with TOTAL cpus; with spin.recheck_cycles=0 (quiesce) parked waiters
 // are event-free and the per-episode cost tracks the ACTIVE set.
-CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p) {
+CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p,
+                         bool record) {
   core::Machine m(cfg);
   const std::uint32_t active =
       p.active == 0 ? cfg.num_cpus : std::min(p.active, cfg.num_cpus);
@@ -315,8 +318,11 @@ CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p) {
 
   const double cycles_per_ep = static_cast<double>(t1 - t0) / episodes;
   const double events_per_ep = static_cast<double>(e1 - e0) / episodes;
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
+  CellResult r;
+  r.primary = cycles_per_ep;
+  r.secondary = events_per_ep;
+  r.aux = e1 - e0;
+  if (record) {
     sim::Json rec = sim::Json::object();
     rec["workload"] = "microbench_spin";
     rec["cpus"] = cfg.num_cpus;
@@ -327,12 +333,8 @@ CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p) {
     rec["cycles_per_episode"] = cycles_per_ep;
     rec["events_per_episode"] = events_per_ep;
     rec["registry"] = m.stats_json();
-    rep->add(std::move(rec));
+    r.record = std::move(rec);
   }
-  CellResult r;
-  r.primary = cycles_per_ep;
-  r.secondary = events_per_ep;
-  r.aux = e1 - e0;
   return r;
 }
 
@@ -342,7 +344,8 @@ CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p) {
 // total_cycles, events) are deterministic per sim_threads value; wall_ms
 // and events_per_sec are host measurements and land only in the --json
 // record, never in identity-checked output.
-CellResult run_pdes_cell(const core::SystemConfig& cfg, const CellParams& p) {
+CellResult run_pdes_cell(const core::SystemConfig& cfg, const CellParams& p,
+                         bool record) {
   const int episodes = p.episodes;
   sim::Cycle t0 = 0;
   sim::Cycle t1 = 0;
@@ -373,8 +376,11 @@ CellResult run_pdes_cell(const core::SystemConfig& cfg, const CellParams& p) {
           .count();
 
   const double cycles_per_ep = static_cast<double>(t1 - t0) / episodes;
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
+  CellResult r;
+  r.primary = cycles_per_ep;
+  r.secondary = wall_ms;
+  r.aux = events;
+  if (record) {
     sim::Json rec = sim::Json::object();
     rec["workload"] = "microbench_pdes";
     rec["cpus"] = cfg.num_cpus;
@@ -388,12 +394,8 @@ CellResult run_pdes_cell(const core::SystemConfig& cfg, const CellParams& p) {
     rec["wall_ms"] = wall_ms;
     rec["events_per_sec"] =
         wall_ms > 0 ? static_cast<double>(events) * 1000.0 / wall_ms : 0.0;
-    rep->add(std::move(rec));
+    r.record = std::move(rec);
   }
-  CellResult r;
-  r.primary = cycles_per_ep;
-  r.secondary = wall_ms;
-  r.aux = events;
   return r;
 }
 
@@ -405,7 +407,8 @@ CellResult run_pdes_cell(const core::SystemConfig& cfg, const CellParams& p) {
 // race under sim_threads > 1), so the per-episode figure averages the
 // warmup episodes in; both variants pay the same warmup, so the gate's
 // ratio is unaffected. Wall-clock lands only in the --json record.
-CellResult run_hier_cell(const core::SystemConfig& cfg, const CellParams& p) {
+CellResult run_hier_cell(const core::SystemConfig& cfg, const CellParams& p,
+                         bool record) {
   const int episodes = p.episodes;
   sim::Cycle t0 = 0;
   sim::Cycle t1 = 0;
@@ -458,8 +461,12 @@ CellResult run_hier_cell(const core::SystemConfig& cfg, const CellParams& p) {
   const double cycles_per_ep = static_cast<double>(t1 - t0) / episodes;
   const double root_per_ep =
       static_cast<double>(root_links) / (episodes + 2);
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
+  CellResult r;
+  r.primary = cycles_per_ep;
+  r.secondary = root_per_ep;
+  r.traffic = traffic;
+  r.aux = root_links;
+  if (record) {
     sim::Json rec = sim::Json::object();
     rec["workload"] = "microbench_hier";
     rec["cpus"] = cfg.num_cpus;
@@ -474,13 +481,8 @@ CellResult run_hier_cell(const core::SystemConfig& cfg, const CellParams& p) {
     rec["root_link_messages_per_episode"] = root_per_ep;
     rec["events"] = events;
     rec["wall_ms"] = wall_ms;
-    rep->add(std::move(rec));
+    r.record = std::move(rec);
   }
-  CellResult r;
-  r.primary = cycles_per_ep;
-  r.secondary = root_per_ep;
-  r.traffic = traffic;
-  r.aux = root_links;
   return r;
 }
 
@@ -493,7 +495,7 @@ CellResult run_hier_cell(const core::SystemConfig& cfg, const CellParams& p) {
 // per-domain LogHistogram shards merged in ascending domain order, so
 // the emitted quantiles are identical across --sim-threads.
 CellResult run_service_cell(const core::SystemConfig& cfg_in,
-                            const CellParams& p) {
+                            const CellParams& p, bool record) {
   core::SystemConfig cfg = cfg_in;
   cfg.stats.histograms = true;  // this scenario exists to read them
   core::Machine m(cfg);
@@ -524,8 +526,13 @@ CellResult run_service_cell(const core::SystemConfig& cfg_in,
   for (const sim::LogHistogram& h : lat) merged += h;
 
   const sim::Cycle total_cycles = m.domains().max_now();
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
+  CellResult r;
+  r.primary = static_cast<double>(merged.quantile(0.999));
+  r.secondary = merged.mean();
+  r.traffic.packets = m.network().stats().packets;
+  r.traffic.bytes = m.network().stats().bytes;
+  r.aux = merged.count();
+  if (record) {
     sim::Json rec = sim::Json::object();
     rec["workload"] = "service";
     rec["cpus"] = cfg.num_cpus;
@@ -543,33 +550,177 @@ CellResult run_service_cell(const core::SystemConfig& cfg_in,
     rec["latency"]["p999"] = merged.quantile(0.999);
     rec["cycles"] = total_cycles;
     rec["registry"] = m.stats_json();
-    rep->add(std::move(rec));
+    r.record = std::move(rec);
   }
-  CellResult r;
-  r.primary = static_cast<double>(merged.quantile(0.999));
-  r.secondary = merged.mean();
-  r.traffic.packets = m.network().stats().packets;
-  r.traffic.bytes = m.network().stats().bytes;
-  r.aux = merged.count();
   return r;
 }
 
 }  // namespace
 
-CellResult run_cell(const core::SystemConfig& cfg, const CellParams& params) {
+CellResult run_barrier(const core::SystemConfig& cfg, const CellParams& p,
+                       bool record) {
+  core::Machine m(cfg);
+  std::unique_ptr<sync::Barrier> barrier =
+      p.kind == BarrierKind::kCentral
+          ? sync::make_central_barrier(m, p.mech, cfg.num_cpus)
+          : sync::make_tree_barrier(m, p.mech, cfg.num_cpus, p.fanout);
+
+  // Thread 0 brackets the measured region: right after its warmup exit and
+  // right after its last measured exit. All threads are within one barrier
+  // of each other at those points.
+  sim::Cycle t_start = 0;
+  sim::Cycle t_end = 0;
+  TrafficSnapshot traffic_start{};
+  TrafficSnapshot traffic_end{};
+
+  // Under PDES (sim_threads > 1) a mid-run Network::stats() call would
+  // read other domains' live shards; brackets keep only thread 0's local
+  // clock and the traffic window falls back to the whole run.
+  const bool parallel = cfg.sim_threads > 1;
+  const int total = p.warmup_episodes + p.episodes;
+  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
+    m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
+      for (int ep = 0; ep < total; ++ep) {
+        if (p.max_skew > 0) {
+          co_await t.compute(t.rng().below(p.max_skew));
+        }
+        co_await barrier->wait(t);
+        if (c == 0 && ep == p.warmup_episodes - 1) {
+          t_start = t.now();
+          if (!parallel) traffic_start = snap(m.network());
+        }
+        if (c == 0 && ep == total - 1) {
+          t_end = t.now();
+          if (!parallel) traffic_end = snap(m.network());
+        }
+      }
+    });
+  }
+  m.run();
+  if (parallel) traffic_end = snap(m.network());  // whole-run traffic
+
+  CellResult r;
+  r.primary = static_cast<double>(t_end - t_start) / p.episodes;
+  r.secondary = r.primary / cfg.num_cpus;  // Figure 5/6: latency / P
+  r.traffic.packets = traffic_end.packets - traffic_start.packets;
+  r.traffic.bytes = traffic_end.bytes - traffic_start.bytes;
+  if (record) {
+    sim::Json rec = sim::Json::object();
+    rec["workload"] = "barrier";
+    rec["cpus"] = cfg.num_cpus;
+    rec["mechanism"] = sync::to_string(p.mech);
+    rec["barrier"] = p.kind == BarrierKind::kCentral ? "central" : "tree";
+    if (p.kind == BarrierKind::kTree) rec["fanout"] = p.fanout;
+    rec["episodes"] = p.episodes;
+    rec["cycles_per_barrier"] = r.primary;
+    rec["cycles_per_proc"] = r.secondary;
+    rec["traffic"] = traffic_json(r.traffic);
+    rec["config"] = config_json(cfg);
+    rec["registry"] = m.stats_json();
+    r.record = std::move(rec);
+  }
+  return r;
+}
+
+CellResult run_lock(const core::SystemConfig& cfg, const CellParams& p,
+                    bool record) {
+  core::Machine m(cfg);
+  std::unique_ptr<sync::Lock> lock =
+      p.array ? sync::make_array_lock(m, p.mech, cfg.num_cpus)
+              : sync::make_ticket_lock(m, p.mech);
+  // A barrier separates warmup from the measured region so the timing
+  // brackets are clean. It uses processor-side atomics regardless of the
+  // lock mechanism under test; its traffic is excluded via snapshots.
+  auto fence = sync::make_central_barrier(m, sync::Mechanism::kAtomic,
+                                          cfg.num_cpus);
+
+  sim::Cycle t_start = 0;
+  sim::Cycle t_end = 0;
+  TrafficSnapshot traffic_start{};
+  TrafficSnapshot traffic_end{};
+  std::uint32_t finished = 0;
+  // PDES-safe bookkeeping: the shared `finished` counter and mid-run
+  // traffic snapshots are serial-only; K > 1 keeps a per-cpu finish
+  // cycle (each element written by exactly one domain thread) and takes
+  // the whole run's traffic.
+  const bool parallel = cfg.sim_threads > 1;
+  std::vector<sim::Cycle> finish_at(parallel ? cfg.num_cpus : 0, 0);
+
+  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
+    m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
+      for (int i = 0; i < p.warmup_iters; ++i) {
+        co_await lock->acquire(t);
+        co_await t.compute(p.cs_cycles);
+        co_await lock->release(t);
+        co_await t.compute(t.rng().below(p.max_skew + 1));
+      }
+      co_await fence->wait(t);
+      if (c == 0) {
+        t_start = t.now();
+        if (!parallel) traffic_start = snap(m.network());
+      }
+      for (int i = 0; i < p.iters; ++i) {
+        co_await lock->acquire(t);
+        co_await t.compute(p.cs_cycles);
+        co_await lock->release(t);
+        if (p.max_skew > 0) {
+          co_await t.compute(t.rng().below(p.max_skew));
+        }
+      }
+      if (parallel) {
+        finish_at[c] = t.now();
+      } else if (++finished == cfg.num_cpus) {
+        // Last finisher closes the measured region.
+        t_end = t.now();
+        traffic_end = snap(m.network());
+      }
+    });
+  }
+  m.run();
+  if (parallel) {
+    t_end = *std::max_element(finish_at.begin(), finish_at.end());
+    traffic_end = snap(m.network());
+  }
+
+  CellResult r;
+  r.primary = static_cast<double>(t_end - t_start);  // measured region
+  r.secondary =  // cycles per acquire
+      r.primary / (static_cast<double>(cfg.num_cpus) * p.iters);
+  r.traffic.packets = traffic_end.packets - traffic_start.packets;
+  r.traffic.bytes = traffic_end.bytes - traffic_start.bytes;
+  if (record) {
+    sim::Json rec = sim::Json::object();
+    rec["workload"] = "lock";
+    rec["cpus"] = cfg.num_cpus;
+    rec["mechanism"] = sync::to_string(p.mech);
+    rec["lock"] = p.array ? "array" : "ticket";
+    rec["iters"] = p.iters;
+    rec["cs_cycles"] = p.cs_cycles;
+    rec["total_cycles"] = r.primary;
+    rec["cycles_per_acquire"] = r.secondary;
+    rec["traffic"] = traffic_json(r.traffic);
+    rec["config"] = config_json(cfg);
+    rec["registry"] = m.stats_json();
+    r.record = std::move(rec);
+  }
+  return r;
+}
+
+CellResult run_cell(const core::SystemConfig& cfg, const CellParams& params,
+                    bool record) {
   switch (params.kernel) {
-    case Kernel::kBarrier: return run_barrier_cell(cfg, params);
-    case Kernel::kLock: return run_lock_cell(cfg, params);
-    case Kernel::kLockAlgo: return run_lock_algo_cell(cfg, params);
+    case Kernel::kBarrier: return run_barrier(cfg, params, record);
+    case Kernel::kLock: return run_lock(cfg, params, record);
+    case Kernel::kLockAlgo: return run_lock_algo_cell(cfg, params, record);
     case Kernel::kTicketBackoff: return run_ticket_backoff_cell(cfg, params);
-    case Kernel::kFig1Episode: return run_fig1_cell(cfg, params);
+    case Kernel::kFig1Episode: return run_fig1_cell(cfg, params, record);
     case Kernel::kMultiLock: return run_multilock_cell(cfg, params);
     case Kernel::kPairwiseFlags: return run_pairwise_flags_cell(cfg, params);
     case Kernel::kBarrierStyle: return run_barrier_style_cell(cfg, params);
-    case Kernel::kSpin: return run_spin_cell(cfg, params);
-    case Kernel::kPdes: return run_pdes_cell(cfg, params);
-    case Kernel::kHier: return run_hier_cell(cfg, params);
-    case Kernel::kService: return run_service_cell(cfg, params);
+    case Kernel::kSpin: return run_spin_cell(cfg, params, record);
+    case Kernel::kPdes: return run_pdes_cell(cfg, params, record);
+    case Kernel::kHier: return run_hier_cell(cfg, params, record);
+    case Kernel::kService: return run_service_cell(cfg, params, record);
   }
   return {};
 }

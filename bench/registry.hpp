@@ -1,11 +1,11 @@
-// WorkloadRegistry: every former bench binary as a named entry that
-// builds a SweepSpec from the CLI options and formats the resulting
-// cells. The driver resolves names (current or legacy), `list` walks the
-// table, and scenario files reuse a workload's printer by naming it.
+// WorkloadRegistry: every paper table, figure, ablation and microbench as
+// a named entry — a builder (CLI options -> SweepSpec) plus the tables
+// its cells print as. The driver resolves names, `list` walks the
+// registry, and scenario files reuse a workload's tables by naming it.
 #pragma once
 
-#include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/scenario.hpp"
@@ -13,11 +13,11 @@
 namespace amo::bench {
 
 struct Workload {
-  const char* name;         // registry name: "table2"
-  const char* legacy_name;  // pre-registry binary / JSON doc: "table2_barriers"
+  const char* name;         // "table2"
   const char* description;  // one line for `amo_bench list`
   SweepSpec (*build)(const CliOptions& opt);
-  void (*print)(const SweepSpec& spec, std::span<const CellResult> results);
+  std::vector<TableSpec> tables;
+  const char* notes;  // paper reference values / expected shape
 };
 
 class WorkloadRegistry {
@@ -25,8 +25,8 @@ class WorkloadRegistry {
   /// The process-wide registry, seeded with the built-in workloads.
   static WorkloadRegistry& instance();
 
-  void add(const Workload& w) { workloads_.push_back(w); }
-  /// Lookup by registry name or legacy binary name; nullptr when absent.
+  void add(Workload w) { workloads_.push_back(std::move(w)); }
+  /// Lookup by name; nullptr when absent.
   [[nodiscard]] const Workload* find(std::string_view name) const;
   [[nodiscard]] const std::vector<Workload>& all() const {
     return workloads_;

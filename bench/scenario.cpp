@@ -1,7 +1,11 @@
 #include "bench/scenario.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 
 #include "core/config_io.hpp"
 
@@ -110,32 +114,41 @@ bool bool_value(const std::string& field, const sim::Json& j) {
   return j.as_bool();
 }
 
+// Every field, defaults included: the table keys resolve against this.
 sim::Json params_to_json(const CellParams& p) {
-  const CellParams d;  // defaults are omitted
   sim::Json j = sim::Json::object();
   j["kernel"] = enum_name(kKernelNames, p.kernel);
   j["mech"] = sync::to_string(p.mech);
-  if (p.kind != d.kind) j["kind"] = enum_name(kKindNames, p.kind);
-  if (p.fanout != d.fanout) j["fanout"] = p.fanout;
-  if (p.warmup_episodes != d.warmup_episodes) {
-    j["warmup_episodes"] = p.warmup_episodes;
+  j["kind"] = enum_name(kKindNames, p.kind);
+  j["fanout"] = p.fanout;
+  j["warmup_episodes"] = p.warmup_episodes;
+  j["episodes"] = p.episodes;
+  j["max_skew"] = p.max_skew;
+  j["array"] = p.array;
+  j["warmup_iters"] = p.warmup_iters;
+  j["iters"] = p.iters;
+  j["cs_cycles"] = p.cs_cycles;
+  j["algo"] = enum_name(kAlgoNames, p.algo);
+  j["backoff"] = enum_name(kBackoffNames, p.backoff);
+  j["locks"] = p.locks;
+  j["rounds"] = p.rounds;
+  j["style"] = enum_name(kStyleNames, p.style);
+  j["active"] = p.active;
+  j["hier"] = enum_name(kHierNames, p.hier);
+  j["requests"] = p.requests;
+  return j;
+}
+
+// What a spec file spells out: kernel, mech, and every non-default field.
+sim::Json params_to_spec_json(const CellParams& p) {
+  static const sim::Json defaults = params_to_json(CellParams{});
+  const sim::Json all = params_to_json(p);
+  sim::Json j = sim::Json::object();
+  for (const auto& [key, v] : all.items()) {
+    if (key == "kernel" || key == "mech" || !(v == defaults.at(key))) {
+      j[key] = v;
+    }
   }
-  if (p.episodes != d.episodes) j["episodes"] = p.episodes;
-  if (p.max_skew != d.max_skew) j["max_skew"] = p.max_skew;
-  if (p.array != d.array) j["array"] = p.array;
-  if (p.warmup_iters != d.warmup_iters) j["warmup_iters"] = p.warmup_iters;
-  if (p.iters != d.iters) j["iters"] = p.iters;
-  if (p.cs_cycles != d.cs_cycles) j["cs_cycles"] = p.cs_cycles;
-  if (p.algo != d.algo) j["algo"] = enum_name(kAlgoNames, p.algo);
-  if (p.backoff != d.backoff) {
-    j["backoff"] = enum_name(kBackoffNames, p.backoff);
-  }
-  if (p.locks != d.locks) j["locks"] = p.locks;
-  if (p.rounds != d.rounds) j["rounds"] = p.rounds;
-  if (p.style != d.style) j["style"] = enum_name(kStyleNames, p.style);
-  if (p.active != d.active) j["active"] = p.active;
-  if (p.hier != d.hier) j["hier"] = enum_name(kHierNames, p.hier);
-  if (p.requests != d.requests) j["requests"] = p.requests;
   return j;
 }
 
@@ -215,7 +228,6 @@ sim::Json spec_to_json(const SweepSpec& spec) {
   if (!spec.workload.empty()) j["workload"] = spec.workload;
   j["bench"] = spec.bench_name;
   if (!spec.base_config.is_null()) j["config"] = spec.base_config;
-  if (!spec.meta.is_null()) j["meta"] = spec.meta;
   sim::Json cells = sim::Json::array();
   for (const Cell& c : spec.cells) {
     sim::Json jc = sim::Json::object();
@@ -224,7 +236,7 @@ sim::Json spec_to_json(const SweepSpec& spec) {
       for (const ConfigDelta& d : c.set) s[d.key] = d.value;
       jc["set"] = std::move(s);
     }
-    jc["params"] = params_to_json(c.params);
+    jc["params"] = params_to_spec_json(c.params);
     cells.push_back(std::move(jc));
   }
   j["cells"] = std::move(cells);
@@ -244,8 +256,6 @@ SweepSpec spec_from_json(const sim::Json& j) {
       spec.bench_name = v.as_string();
     } else if (key == "config") {
       spec.base_config = v;
-    } else if (key == "meta") {
-      spec.meta = v;
     } else if (key == "cells") {
       have_cells = true;
       if (!v.is_array()) {
@@ -282,7 +292,7 @@ SweepSpec spec_from_json(const sim::Json& j) {
     } else {
       throw std::runtime_error(
           key + ": unknown scenario key; candidates: workload, bench, "
-                "config, meta, cells");
+                "config, cells");
     }
   }
   if (spec.bench_name.empty()) {
@@ -294,14 +304,10 @@ SweepSpec spec_from_json(const sim::Json& j) {
   return spec;
 }
 
-std::vector<CellResult> run_spec(const SweepSpec& spec,
-                                 const core::SystemConfig& base,
-                                 unsigned threads) {
-  const std::size_t n = spec.cells.size();
-  // Materialize and validate every cell's config up front, serially, so
-  // config errors surface deterministically before any simulation runs.
-  std::vector<core::SystemConfig> cfgs(n, base);
-  for (std::size_t i = 0; i < n; ++i) {
+std::vector<core::SystemConfig> materialize(const SweepSpec& spec,
+                                            const core::SystemConfig& base) {
+  std::vector<core::SystemConfig> cfgs(spec.cells.size(), base);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
     try {
       for (const ConfigDelta& d : spec.cells[i].set) {
         core::set_field(cfgs[i], d.key, d.value);
@@ -312,17 +318,44 @@ std::vector<CellResult> run_spec(const SweepSpec& spec,
                               e.what());
     }
   }
+  return cfgs;
+}
 
+std::vector<CellResult> run_spec(const SweepSpec& spec,
+                                 const core::SystemConfig& base,
+                                 unsigned threads, bool records) {
+  // Config errors surface deterministically before any simulation runs.
+  const std::vector<core::SystemConfig> cfgs = materialize(spec, base);
+  const std::size_t n = cfgs.size();
   std::vector<CellResult> results(n);
-  SweepRunner sweep(threads);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Cell* cell = &spec.cells[i];
-    const core::SystemConfig* cfg = &cfgs[i];
-    CellResult* out = &results[i];
-    sweep.add([cell, cfg, out] { *out = run_cell(*cfg, cell->params); });
+  std::atomic<std::size_t> next{0};
+  auto work = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      results[i] = run_cell(cfgs[i], spec.cells[i].params, records);
+    }
+  };
+  std::vector<std::thread> pool;
+  for (std::size_t w = 1; w < std::min<std::size_t>(threads, n); ++w) {
+    pool.emplace_back(work);
   }
-  sweep.run();
+  work();
+  for (std::thread& t : pool) t.join();
   return results;
+}
+
+sim::Json json_document(const SweepSpec& spec,
+                        std::span<const CellResult> results) {
+  sim::Json doc = sim::Json::object();
+  doc["bench"] = spec.bench_name;
+  // v2: LogHistogram entries (count/sum/min/max/mean/p50/p90/p99/p999
+  // objects) may appear in registry dumps; all v1 fields are unchanged.
+  doc["schema_version"] = 2;
+  sim::Json records = sim::Json::array();
+  for (const CellResult& r : results) {
+    if (!r.record.is_null()) records.push_back(r.record);
+  }
+  doc["records"] = std::move(records);
+  return doc;
 }
 
 void print_generic(const SweepSpec& spec, std::span<const CellResult> r) {
@@ -338,6 +371,177 @@ void print_generic(const SweepSpec& spec, std::span<const CellResult> r) {
                 static_cast<unsigned long long>(r[i].traffic.packets),
                 static_cast<unsigned long long>(r[i].traffic.bytes));
   }
+}
+
+namespace {
+
+// A cell's value for one table key, as printed ("LL/SC", "64", "true").
+std::string key_value(const sim::Json& params, const sim::Json& config,
+                      const std::string& key) {
+  const sim::Json* v = params.find(key);
+  if (v == nullptr) v = config.find_path(key);
+  if (v == nullptr || v->is_object()) {
+    throw std::logic_error("table key '" + key +
+                           "' is neither a cell parameter nor a config field");
+  }
+  return v->is_string() ? v->as_string() : v->dump();
+}
+
+std::size_t index_of(std::vector<std::vector<std::string>>& keys,
+                     std::vector<std::string> key) {
+  const auto it = std::find(keys.begin(), keys.end(), key);
+  if (it != keys.end()) return static_cast<std::size_t>(it - keys.begin());
+  keys.push_back(std::move(key));
+  return keys.size() - 1;
+}
+
+double metric_value(Metric m, const CellResult& r) {
+  switch (m) {
+    case Metric::kPrimary: return r.primary;
+    case Metric::kSecondary: return r.secondary;
+    case Metric::kAux: return static_cast<double>(r.aux);
+    case Metric::kPackets: return static_cast<double>(r.traffic.packets);
+    case Metric::kBytes: return static_cast<double>(r.traffic.bytes);
+  }
+  return 0;
+}
+
+void pad(std::string& out, const std::string& s, std::size_t width,
+         bool right) {
+  const std::string fill(width > s.size() ? width - s.size() : 0, ' ');
+  out += right ? fill + s : s + fill;
+}
+
+}  // namespace
+
+Pivot pivot(const TableSpec& table, const SweepSpec& spec,
+            std::span<const core::SystemConfig> cfgs) {
+  Pivot p;
+  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+    const sim::Json params = params_to_json(spec.cells[i].params);
+    const sim::Json config = core::to_json(cfgs[i]);
+    auto tuple = [&](const std::vector<std::string>& keys) {
+      std::vector<std::string> values;
+      for (const std::string& k : keys) {
+        values.push_back(key_value(params, config, k));
+      }
+      return values;
+    };
+    const std::size_t row = index_of(p.rows, tuple(table.rows));
+    p.slot.emplace_back(row, index_of(p.cols, tuple(table.cols)));
+  }
+  return p;
+}
+
+std::string format_table(const TableSpec& table, const SweepSpec& spec,
+                         std::span<const core::SystemConfig> cfgs,
+                         std::span<const CellResult> results) {
+  const Pivot p = pivot(table, spec, cfgs);
+  const std::size_t nr = p.rows.size();
+  const std::size_t nc = p.cols.size();
+  std::vector<std::optional<double>> slots(nr * nc);
+  for (std::size_t i = 0; i < p.slot.size(); ++i) {
+    const double v = metric_value(table.metric, results[i]);
+    std::optional<double>& s = slots[p.slot[i].first * nc + p.slot[i].second];
+    s = s ? std::min(*s, v) : v;
+  }
+
+  // Cell text, column by column: ratios read the base column's slot.
+  std::vector<std::vector<std::string>> text(nr,
+                                             std::vector<std::string>(nc, "-"));
+  for (std::size_t c = 0; c < nc; ++c) {
+    std::optional<std::size_t> base;
+    if (!table.relative_to.empty()) {
+      std::vector<std::string> key = p.cols[c];
+      for (const auto& [field, value] : table.relative_to) {
+        const auto at = std::find(table.cols.begin(), table.cols.end(), field);
+        if (at == table.cols.end()) {
+          throw std::logic_error("relative_to key '" + field +
+                                 "' is not a column key of '" + table.title +
+                                 "'");
+        }
+        key[static_cast<std::size_t>(at - table.cols.begin())] = value;
+      }
+      const auto it = std::find(p.cols.begin(), p.cols.end(), key);
+      if (it != p.cols.end()) {
+        base = static_cast<std::size_t>(it - p.cols.begin());
+      }
+    }
+    for (std::size_t r = 0; r < nr; ++r) {
+      std::optional<double> v = slots[r * nc + c];
+      if (!table.relative_to.empty()) {
+        const std::optional<double> b =
+            base ? slots[r * nc + *base] : std::nullopt;
+        const bool speedup = table.relative == Relative::kSpeedup;
+        if (v && b && (speedup ? *v : *b) != 0) {
+          v = speedup ? *b / *v : *v / *b;
+        } else {
+          v.reset();
+        }
+      }
+      if (v) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.*f", table.precision, *v);
+        text[r][c] = buf;
+      }
+    }
+  }
+
+  // Layout: one label column per row key, then one right-aligned column
+  // per column-key tuple under one header line per column key.
+  std::vector<std::size_t> label_w(table.rows.size());
+  std::size_t label_total = 0;
+  for (std::size_t k = 0; k < table.rows.size(); ++k) {
+    label_w[k] = table.rows[k].size();
+    for (const auto& row : p.rows) {
+      label_w[k] = std::max(label_w[k], row[k].size());
+    }
+    label_total += label_w[k] + (k > 0 ? 2 : 0);
+  }
+  for (const std::string& k : table.cols) {
+    label_total = std::max(label_total, k.size());
+  }
+  std::vector<std::size_t> col_w(nc, 8);
+  for (std::size_t c = 0; c < nc; ++c) {
+    for (const std::string& h : p.cols[c]) {
+      col_w[c] = std::max(col_w[c], h.size());
+    }
+    for (std::size_t r = 0; r < nr; ++r) {
+      col_w[c] = std::max(col_w[c], text[r][c].size());
+    }
+  }
+
+  std::string out = "\n== " + table.title + " ==\n";
+  for (std::size_t j = 0; j < table.cols.size(); ++j) {
+    pad(out, table.cols[j], label_total, true);
+    for (std::size_t c = 0; c < nc; ++c) {
+      out += "  ";
+      pad(out, p.cols[c][j], col_w[c], true);
+    }
+    out += '\n';
+  }
+  auto labels = [&](const std::vector<std::string>& values) {
+    std::string line;
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      if (k > 0) line += "  ";
+      pad(line, values[k], label_w[k], false);
+    }
+    return line;
+  };
+  if (!table.rows.empty()) {
+    out += labels(table.rows);
+    while (out.back() == ' ') out.pop_back();
+    out += '\n';
+  }
+  for (std::size_t r = 0; r < nr; ++r) {
+    pad(out, labels(p.rows[r]), label_total, false);
+    for (std::size_t c = 0; c < nc; ++c) {
+      out += "  ";
+      pad(out, text[r][c], col_w[c], true);
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 }  // namespace amo::bench

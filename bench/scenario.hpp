@@ -1,19 +1,22 @@
 // The scenario layer: experiments as data. A SweepSpec is a declarative
-// list of cells — (config-delta, kernel-params) pairs — that the runner
-// feeds through SweepRunner/JsonReporter. Every former bench binary is a
-// registered builder producing one of these; a JSON scenario file
-// deserializes into exactly the same structure, so `amo_bench run
-// --spec=file.json` and a named run share every code path after parsing.
+// list of cells — (config-delta, kernel-params) pairs — that run_spec
+// executes; a TableSpec says how to pivot the cells into a printed
+// table. Every workload is a registered builder producing a SweepSpec; a
+// JSON scenario file deserializes into exactly the same structure, so
+// `amo_bench run --spec=file.json` and a named run share every code path
+// after parsing.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "sim/json.hpp"
+#include "sync/lock.hpp"
+#include "sync/mechanism.hpp"
 
 namespace amo::bench {
 
@@ -35,6 +38,8 @@ enum class Kernel : std::uint8_t {
   kService,        // open-loop sharded service: tail latency vs offered load
 };
 
+enum class BarrierKind : std::uint8_t { kCentral, kTree };
+
 enum class LockAlgo : std::uint8_t { kTas, kTicket, kArray, kMcs, kCna,
                                      kHmcs };
 
@@ -53,8 +58,7 @@ enum class BarrierStyle : std::uint8_t {
 [[nodiscard]] const char* to_string(HierBarrier h);
 
 /// Union of every kernel's parameters; each kernel reads its slice and
-/// ignores the rest. Defaults mirror BarrierParams/LockParams so a cell
-/// that says nothing behaves like the pre-registry binaries.
+/// ignores the rest.
 struct CellParams {
   Kernel kernel = Kernel::kBarrier;
   sync::Mechanism mech = sync::Mechanism::kLlSc;
@@ -87,6 +91,11 @@ struct CellParams {
   std::uint64_t requests = 65536;
 };
 
+struct TrafficSnapshot {
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+};
+
 /// What every kernel reports. Which fields are meaningful depends on the
 /// kernel; `primary` is always its headline cycles metric.
 struct CellResult {
@@ -94,6 +103,10 @@ struct CellResult {
   double secondary = 0;  // cycles per proc / per acquire (barrier/lock)
   TrafficSnapshot traffic;
   std::uint64_t aux = 0;  // fig1: one-way messages; pairwise: update msgs
+  /// The cell's --json record: built only when asked for, and null for
+  /// the kernels that emit none (multilock, ticket_backoff,
+  /// pairwise_flags, barrier_style).
+  sim::Json record;
 };
 
 /// One dotted-path config override, e.g. {"net.hop_cycles", 400}.
@@ -109,22 +122,43 @@ struct Cell {
 
 struct SweepSpec {
   std::string workload;     // registry name ("" for ad-hoc scenarios)
-  std::string bench_name;   // JsonReporter document name
+  std::string bench_name;   // --json document name
   sim::Json base_config;    // null, or overrides under every cell
-  sim::Json meta;           // data the row/column formatter reads
-  std::vector<Cell> cells;  // flat, in serial record order
+  std::vector<Cell> cells;  // flat, in record order
 };
 
-/// Runs one cell's kernel on a fully-built config. Record emission (for
-/// --json) happens inside, exactly as the pre-registry binaries did it.
+/// Runs one cell's kernel on a fully-built config; `record` asks for the
+/// cell's --json record in CellResult::record.
 [[nodiscard]] CellResult run_cell(const core::SystemConfig& cfg,
-                                  const CellParams& params);
+                                  const CellParams& params,
+                                  bool record = false);
+/// The paper's central/tree barrier and ticket/array lock loops (the
+/// kBarrier and kLock kernels).
+[[nodiscard]] CellResult run_barrier(const core::SystemConfig& cfg,
+                                     const CellParams& params,
+                                     bool record = false);
+[[nodiscard]] CellResult run_lock(const core::SystemConfig& cfg,
+                                  const CellParams& params,
+                                  bool record = false);
 
-/// Materializes each cell's config (base + deltas, validated — a
-/// core::ConfigError here is prefixed with the cell index), then runs
-/// every cell across `threads` workers in deterministic record order.
-[[nodiscard]] std::vector<CellResult> run_spec(
-    const SweepSpec& spec, const core::SystemConfig& base, unsigned threads);
+/// Each cell's config: base + its deltas, validated. A core::ConfigError
+/// here is prefixed with the cell index.
+[[nodiscard]] std::vector<core::SystemConfig> materialize(
+    const SweepSpec& spec, const core::SystemConfig& base);
+
+/// Materializes every cell's config before running anything, then runs
+/// the cells across `threads` workers. Each cell owns its Machine, so
+/// results (and records, when `records` is set) are identical at any
+/// thread count; they come back in cell order.
+[[nodiscard]] std::vector<CellResult> run_spec(const SweepSpec& spec,
+                                               const core::SystemConfig& base,
+                                               unsigned threads,
+                                               bool records = false);
+
+/// The --json document: {bench, schema_version, records}, with the
+/// non-null records in cell order.
+[[nodiscard]] sim::Json json_document(const SweepSpec& spec,
+                                      std::span<const CellResult> results);
 
 /// Spec <-> JSON. to_json omits defaulted params; from_json rejects
 /// unknown keys/enum tokens with messages naming the cell and field.
@@ -133,5 +167,49 @@ struct SweepSpec {
 
 /// One-line-per-cell formatter for ad-hoc scenario files.
 void print_generic(const SweepSpec& spec, std::span<const CellResult> r);
+
+// ---------------------------------------------------------------- tables
+// A printed table is a pivot of the cells: each cell's row and column
+// are the values of a few keys, each a CellParams field ("mech",
+// "fanout") or a dotted SystemConfig field ("num_cpus",
+// "net.hop_cycles") of the cell's materialized config.
+
+enum class Metric : std::uint8_t { kPrimary, kSecondary, kAux, kPackets,
+                                   kBytes };
+enum class Relative : std::uint8_t {
+  kSpeedup,     // base / v
+  kNormalized,  // v / base
+};
+
+struct TableSpec {
+  std::string title;
+  std::vector<std::string> rows{};  // keys; rows in first-appearance order
+  std::vector<std::string> cols{};  // keys; columns likewise
+  Metric metric = Metric::kPrimary;
+  int precision = 0;
+  /// When non-empty, every value becomes a ratio against the same row's
+  /// base column: this column with these column keys overwritten.
+  std::vector<std::pair<std::string, std::string>> relative_to{};
+  Relative relative = Relative::kSpeedup;
+};
+
+/// Where each cell lands: row/column key tuples in first-appearance
+/// order, and per cell its (row, column) slot. Throws std::logic_error
+/// when a key names neither a CellParams field nor a config field.
+struct Pivot {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::vector<std::string>> cols;
+  std::vector<std::pair<std::size_t, std::size_t>> slot;
+};
+[[nodiscard]] Pivot pivot(const TableSpec& table, const SweepSpec& spec,
+                          std::span<const core::SystemConfig> cfgs);
+
+/// The table as text. A slot several cells share shows their minimum
+/// (e.g. the best fanout); an empty slot, or a ratio whose base slot is
+/// empty, shows "-".
+[[nodiscard]] std::string format_table(
+    const TableSpec& table, const SweepSpec& spec,
+    std::span<const core::SystemConfig> cfgs,
+    std::span<const CellResult> results);
 
 }  // namespace amo::bench

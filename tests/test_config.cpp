@@ -158,7 +158,6 @@ TEST(SweepSpecJson, RoundTrips) {
   const char* text = R"({
     "workload": "table2",
     "bench": "table2_barriers",
-    "meta": {"cpus": [4, 8]},
     "cells": [
       {"set": {"num_cpus": 4},
        "params": {"kernel": "barrier", "mech": "LL/SC", "episodes": 2}},

@@ -1,11 +1,10 @@
-// Benchmark-harness tests: CLI parsing and the microbenchmark runners'
-// basic sanity (they are the layer every reported number flows through).
+// Benchmark-harness tests: CLI parsing, the measurement kernels' basic
+// sanity, run_spec's ordering and determinism, and the table printer
+// (the layer every reported number flows through).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -198,173 +197,270 @@ TEST(PaperCpuCounts, MatchesPaperAxes) {
 TEST(Runner, BarrierResultIsConsistent) {
   core::SystemConfig cfg;
   cfg.num_cpus = 8;
-  BarrierParams params;
+  CellParams params;
   params.episodes = 4;
-  const BarrierResult r = run_barrier(cfg, params);
-  EXPECT_GT(r.cycles_per_barrier, 0.0);
-  EXPECT_DOUBLE_EQ(r.cycles_per_proc, r.cycles_per_barrier / 8.0);
+  const CellResult r = run_barrier(cfg, params);
+  EXPECT_GT(r.primary, 0.0);  // cycles per barrier
+  EXPECT_DOUBLE_EQ(r.secondary, r.primary / 8.0);  // per processor
   EXPECT_GT(r.traffic.packets, 0u);
 }
 
 TEST(Runner, LockResultIsConsistent) {
   core::SystemConfig cfg;
   cfg.num_cpus = 8;
-  LockParams params;
+  CellParams params;
   params.iters = 3;
-  const LockResult r = run_lock(cfg, params);
-  EXPECT_GT(r.total_cycles, 0.0);
-  EXPECT_DOUBLE_EQ(r.cycles_per_acquire, r.total_cycles / (8.0 * 3.0));
+  const CellResult r = run_lock(cfg, params);
+  EXPECT_GT(r.primary, 0.0);  // total cycles
+  EXPECT_DOUBLE_EQ(r.secondary, r.primary / (8.0 * 3.0));  // per acquire
 }
 
+// Records are built only on request: a plain run carries none.
 TEST(Reporter, InactiveWithoutJsonPath) {
-  CliOptions opt;  // no --json
-  JsonReporter rep(opt, "unit");
-  EXPECT_FALSE(rep.active());
-  EXPECT_EQ(JsonReporter::current(), &rep);
-  sim::Json rec = sim::Json::object();
-  rec["x"] = 1;
-  rep.add(std::move(rec));
-  EXPECT_EQ(rep.records().size(), 0u);  // inactive: records are dropped
+  core::SystemConfig cfg;
+  cfg.num_cpus = 4;
+  CellParams params;
+  params.episodes = 2;
+  EXPECT_TRUE(run_barrier(cfg, params).record.is_null());
+  params.kernel = Kernel::kLock;
+  EXPECT_TRUE(run_cell(cfg, params).record.is_null());
 }
 
 TEST(Reporter, RunBarrierFeedsRecordsWithRegistryDump) {
-  CliOptions opt;
-  opt.json_path = ::testing::TempDir() + "harness_reporter_test.json";
-  {
-    JsonReporter rep(opt, "unit_barrier");
-    core::SystemConfig cfg;
-    cfg.num_cpus = 8;
-    BarrierParams params;
-    params.mech = sync::Mechanism::kAmo;
-    params.episodes = 2;
-    (void)run_barrier(cfg, params);
+  core::SystemConfig cfg;
+  cfg.num_cpus = 8;
+  CellParams params;
+  params.mech = sync::Mechanism::kAmo;
+  params.episodes = 2;
+  const CellResult r = run_barrier(cfg, params, /*record=*/true);
 
-    ASSERT_EQ(rep.records().size(), 1u);
-    const sim::Json& rec = rep.records()[0];
-    EXPECT_EQ(rec.at("workload").as_string(), "barrier");
-    EXPECT_EQ(rec.at("cpus").as_uint(), 8u);
-    EXPECT_EQ(rec.at("mechanism").as_string(), "AMO");
-    EXPECT_GT(rec.at("cycles_per_barrier").as_double(), 0.0);
-    EXPECT_GT(rec.at("traffic").at("packets").as_uint(), 0u);
-    // The registry dump reaches down to per-node AMU counters.
-    const sim::Json* amo_ops = rec.at("registry").find_path("node0.amu.ops");
-    ASSERT_NE(amo_ops, nullptr);
-    EXPECT_GT(amo_ops->as_uint(), 0u);
-    EXPECT_NE(rec.at("registry").find_path("net.packets"), nullptr);
-    EXPECT_NE(rec.at("registry").find_path("cpu0.cache.l2.hits"), nullptr);
-  }
-  // Destructor wrote the document; it must parse and carry the record.
-  std::ifstream in(opt.json_path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const sim::Json doc = sim::Json::parse(ss.str());
+  const sim::Json& rec = r.record;
+  EXPECT_EQ(rec.at("workload").as_string(), "barrier");
+  EXPECT_EQ(rec.at("cpus").as_uint(), 8u);
+  EXPECT_EQ(rec.at("mechanism").as_string(), "AMO");
+  EXPECT_GT(rec.at("cycles_per_barrier").as_double(), 0.0);
+  EXPECT_GT(rec.at("traffic").at("packets").as_uint(), 0u);
+  // The registry dump reaches down to per-node AMU counters.
+  const sim::Json* amo_ops = rec.at("registry").find_path("node0.amu.ops");
+  ASSERT_NE(amo_ops, nullptr);
+  EXPECT_GT(amo_ops->as_uint(), 0u);
+  EXPECT_NE(rec.at("registry").find_path("net.packets"), nullptr);
+  EXPECT_NE(rec.at("registry").find_path("cpu0.cache.l2.hits"), nullptr);
+
+  // The document the driver writes must parse and carry the record.
+  SweepSpec spec;
+  spec.bench_name = "unit_barrier";
+  const std::vector<CellResult> results{r};
+  const sim::Json doc =
+      sim::Json::parse(json_document(spec, results).dump(2));
   EXPECT_EQ(doc.at("bench").as_string(), "unit_barrier");
   // The v2 bump is pinned here: histograms (new dotted registry groups)
   // are the only addition; every v1 record field is unchanged.
   EXPECT_EQ(doc.at("schema_version").as_uint(), 2u);
   EXPECT_EQ(doc.at("records").size(), 1u);
-  std::remove(opt.json_path.c_str());
 }
 
 TEST(Reporter, RunLockFeedsRecords) {
-  CliOptions opt;
-  opt.json_path = ::testing::TempDir() + "harness_lock_test.json";
-  {
-    JsonReporter rep(opt, "unit_lock");
-    core::SystemConfig cfg;
-    cfg.num_cpus = 4;
-    LockParams params;
-    params.iters = 2;
-    (void)run_lock(cfg, params);
-    ASSERT_EQ(rep.records().size(), 1u);
-    const sim::Json& rec = rep.records()[0];
-    EXPECT_EQ(rec.at("workload").as_string(), "lock");
-    EXPECT_EQ(rec.at("lock").as_string(), "ticket");
-    EXPECT_GT(rec.at("total_cycles").as_double(), 0.0);
-  }
-  std::remove(opt.json_path.c_str());
+  core::SystemConfig cfg;
+  cfg.num_cpus = 4;
+  CellParams params;
+  params.iters = 2;
+  const sim::Json rec = run_lock(cfg, params, /*record=*/true).record;
+  EXPECT_EQ(rec.at("workload").as_string(), "lock");
+  EXPECT_EQ(rec.at("lock").as_string(), "ticket");
+  EXPECT_GT(rec.at("total_cycles").as_double(), 0.0);
 }
 
 TEST(Runner, DeterministicAcrossCalls) {
   core::SystemConfig cfg;
   cfg.num_cpus = 8;
-  BarrierParams params;
+  CellParams params;
   params.episodes = 4;
-  EXPECT_DOUBLE_EQ(run_barrier(cfg, params).cycles_per_barrier,
-                   run_barrier(cfg, params).cycles_per_barrier);
+  EXPECT_DOUBLE_EQ(run_barrier(cfg, params).primary,
+                   run_barrier(cfg, params).primary);
+}
+
+// A barrier sweep over `cpus` x `mechs`, cells in that order.
+SweepSpec barrier_sweep(const std::vector<std::uint32_t>& cpus,
+                        const std::vector<sync::Mechanism>& mechs,
+                        int episodes) {
+  SweepSpec spec;
+  for (std::uint32_t p : cpus) {
+    for (sync::Mechanism m : mechs) {
+      Cell c;
+      c.set.push_back({"num_cpus", sim::Json(p)});
+      c.params.mech = m;
+      c.params.episodes = episodes;
+      spec.cells.push_back(std::move(c));
+    }
+  }
+  return spec;
 }
 
 TEST(Sweep, RunsEveryTaskOnceAndClears) {
-  std::atomic<int> ran{0};
-  SweepRunner sweep(4);
-  for (int i = 0; i < 10; ++i) {
-    sweep.add([&] { ran.fetch_add(1); });
-  }
-  EXPECT_EQ(sweep.pending(), 10u);
-  sweep.run();
-  EXPECT_EQ(ran.load(), 10);
-  EXPECT_EQ(sweep.pending(), 0u);
-  sweep.run();  // empty run is a no-op
-  EXPECT_EQ(ran.load(), 10);
+  const SweepSpec spec =
+      barrier_sweep({4, 8}, {sync::Mechanism::kLlSc, sync::Mechanism::kAmo,
+                             sync::Mechanism::kAtomic, sync::Mechanism::kMao,
+                             sync::Mechanism::kActMsg},
+                    1);
+  const std::vector<CellResult> results =
+      run_spec(spec, core::SystemConfig{}, 4);
+  ASSERT_EQ(results.size(), 10u);
+  for (const CellResult& r : results) EXPECT_GT(r.primary, 0.0);
+  // An empty spec is a no-op.
+  EXPECT_TRUE(run_spec(SweepSpec{}, core::SystemConfig{}, 4).empty());
 }
 
 TEST(Sweep, FlushesRecordsInTaskOrderAcrossWorkers) {
-  CliOptions opt;
-  opt.json_path = ::testing::TempDir() + "sweep_order_test.json";
-  JsonReporter rep(opt, "sweep_order");
-  SweepRunner sweep(4);
+  // Cell i runs on i + 4 cpus; its record must land at index i.
+  SweepSpec spec;
   constexpr int kTasks = 24;
   for (int i = 0; i < kTasks; ++i) {
-    sweep.add([i] {
-      sim::Json rec = sim::Json::object();
-      rec["task"] = static_cast<std::uint64_t>(i);
-      JsonReporter::current()->add(std::move(rec));
-    });
+    Cell c;
+    c.set.push_back({"num_cpus", sim::Json(i + 4)});
+    c.params.episodes = 1;
+    spec.cells.push_back(std::move(c));
   }
-  sweep.run();
-  ASSERT_EQ(rep.records().size(), static_cast<std::size_t>(kTasks));
+  const std::vector<CellResult> results =
+      run_spec(spec, core::SystemConfig{}, 4, /*records=*/true);
+  const sim::Json records = json_document(spec, results).at("records");
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kTasks));
   for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(rep.records()[static_cast<std::size_t>(i)].at("task").as_uint(),
-              static_cast<std::uint64_t>(i));
+    EXPECT_EQ(records[static_cast<std::size_t>(i)].at("cpus").as_uint(),
+              static_cast<std::uint64_t>(i + 4));
   }
-  std::remove(opt.json_path.c_str());
 }
 
-// The PR's headline determinism property: a parallel sweep produces the
+// The headline determinism property: a parallel sweep produces the
 // byte-identical record stream of a serial one, because each run owns its
-// Machine and records are flushed in task order.
+// Machine and results come back in cell order.
 TEST(Sweep, ParallelBarrierSweepMatchesSerialByteForByte) {
-  const std::vector<std::uint32_t> cpus{4, 8};
-  const std::vector<sync::Mechanism> mechs{sync::Mechanism::kLlSc,
-                                           sync::Mechanism::kAmo};
+  const SweepSpec spec = barrier_sweep(
+      {4, 8}, {sync::Mechanism::kLlSc, sync::Mechanism::kAmo}, 2);
   auto dump_sweep = [&](unsigned threads) {
-    CliOptions opt;
-    opt.json_path =
-        ::testing::TempDir() + "sweep_det_" + std::to_string(threads) + ".json";
-    JsonReporter rep(opt, "sweep_det");
-    SweepRunner sweep(threads);
-    for (std::uint32_t p : cpus) {
-      for (sync::Mechanism m : mechs) {
-        sweep.add([p, m] {
-          core::SystemConfig cfg;
-          cfg.num_cpus = p;
-          BarrierParams params;
-          params.mech = m;
-          params.episodes = 2;
-          (void)run_barrier(cfg, params);
-        });
-      }
-    }
-    sweep.run();
-    std::string dump = rep.records().dump(2);
-    std::remove(opt.json_path.c_str());
-    return dump;
+    const std::vector<CellResult> results =
+        run_spec(spec, core::SystemConfig{}, threads, /*records=*/true);
+    return json_document(spec, results).at("records").dump(2);
   };
   const std::string serial = dump_sweep(1);
   EXPECT_EQ(serial, dump_sweep(4));
   // And re-running the identical serial sweep reproduces it exactly.
   EXPECT_EQ(serial, dump_sweep(1));
+}
+
+// ---------------------------------------------------------------- tables
+
+// Four cells on a 2 x 2 grid of (num_cpus, mech), with a fifth cell
+// sharing the (4, LL/SC) slot and no cell at (8, AMO).
+struct PivotFixture {
+  SweepSpec spec;
+  std::vector<core::SystemConfig> cfgs;
+  std::vector<CellResult> results;
+
+  PivotFixture() {
+    auto add = [&](std::uint32_t cpus, sync::Mechanism m, double primary) {
+      Cell c;
+      c.set.push_back({"num_cpus", sim::Json(cpus)});
+      c.params.mech = m;
+      spec.cells.push_back(std::move(c));
+      CellResult r;
+      r.primary = primary;
+      results.push_back(r);
+    };
+    add(4, sync::Mechanism::kLlSc, 300);
+    add(4, sync::Mechanism::kAmo, 100);
+    add(8, sync::Mechanism::kLlSc, 800);
+    add(4, sync::Mechanism::kLlSc, 200);  // shares a slot: min wins
+    cfgs = materialize(spec, core::SystemConfig{});
+  }
+};
+
+TEST(Tables, PivotPrintsMinSpeedupNormalizedAndEmptySlots) {
+  const PivotFixture f;
+  const TableSpec raw{.title = "raw", .rows = {"num_cpus"}, .cols = {"mech"}};
+  EXPECT_EQ(format_table(raw, f.spec, f.cfgs, f.results),
+            "\n== raw ==\n"
+            "    mech     LL/SC       AMO\n"
+            "num_cpus\n"
+            "4              200       100\n"
+            "8              800         -\n");
+
+  const TableSpec speedup{.title = "speedup",
+                          .rows = {"num_cpus"},
+                          .cols = {"mech"},
+                          .precision = 2,
+                          .relative_to = {{"mech", "LL/SC"}}};
+  EXPECT_EQ(format_table(speedup, f.spec, f.cfgs, f.results),
+            "\n== speedup ==\n"
+            "    mech     LL/SC       AMO\n"
+            "num_cpus\n"
+            "4             1.00      2.00\n"
+            "8             1.00         -\n");
+
+  const TableSpec normalized{.title = "normalized",
+                             .rows = {"num_cpus"},
+                             .cols = {"mech"},
+                             .precision = 1,
+                             .relative_to = {{"mech", "LL/SC"}},
+                             .relative = Relative::kNormalized};
+  EXPECT_EQ(format_table(normalized, f.spec, f.cfgs, f.results),
+            "\n== normalized ==\n"
+            "    mech     LL/SC       AMO\n"
+            "num_cpus\n"
+            "4              1.0       0.5\n"
+            "8              1.0         -\n");
+}
+
+TEST(Tables, UnknownKeysAreErrors) {
+  const PivotFixture f;
+  const TableSpec typo{.title = "typo", .rows = {"num_cpu"}};
+  EXPECT_THROW((void)pivot(typo, f.spec, f.cfgs), std::logic_error);
+  const TableSpec base_not_a_column{.title = "t",
+                                    .cols = {"mech"},
+                                    .relative_to = {{"num_cpus", "4"}}};
+  EXPECT_THROW(
+      (void)format_table(base_not_a_column, f.spec, f.cfgs, f.results),
+      std::logic_error);
+}
+
+// Every built-in workload's --quick cells all land in at least one of
+// its tables, so no measured cell goes unprinted.
+TEST(Tables, EveryQuickCellLandsInATable) {
+  CliOptions opt;
+  opt.quick = true;
+  const std::vector<Workload>& all = WorkloadRegistry::instance().all();
+  EXPECT_EQ(all.size(), 24u);
+  for (const Workload& w : all) {
+    const SweepSpec spec = w.build(opt);
+    const std::vector<core::SystemConfig> cfgs =
+        materialize(spec, base_config(opt));
+    ASSERT_FALSE(w.tables.empty()) << w.name;
+    std::vector<bool> placed(spec.cells.size(), false);
+    for (const TableSpec& t : w.tables) {
+      const Pivot p = pivot(t, spec, cfgs);
+      ASSERT_EQ(p.slot.size(), spec.cells.size()) << w.name;
+      for (std::size_t i = 0; i < p.slot.size(); ++i) {
+        placed[i] = placed[i] || (p.slot[i].first < p.rows.size() &&
+                                  p.slot[i].second < p.cols.size());
+      }
+      // Relative tables must name real column keys.
+      EXPECT_NO_THROW((void)format_table(
+          t, spec, cfgs, std::vector<CellResult>(spec.cells.size())))
+          << w.name << ": " << t.title;
+    }
+    for (std::size_t i = 0; i < placed.size(); ++i) {
+      EXPECT_TRUE(placed[i]) << w.name << " cell " << i;
+    }
+  }
+}
+
+TEST(Registry, LooksUpByNameOnly) {
+  const WorkloadRegistry& reg = WorkloadRegistry::instance();
+  ASSERT_NE(reg.find("table2"), nullptr);
+  EXPECT_EQ(reg.find("table2_barriers"), nullptr);
+  // The JSON document keeps the historical bench name.
+  EXPECT_EQ(reg.find("table2")->build(CliOptions{}).bench_name,
+            "table2_barriers");
 }
 
 }  // namespace

@@ -4,21 +4,21 @@
 // sizes through the bench harness.
 #include <gtest/gtest.h>
 
-#include "bench/harness.hpp"
 #include "bench/scenario.hpp"
 
 namespace amo {
 namespace {
 
-using bench::BarrierParams;
-using bench::BarrierResult;
-using bench::LockParams;
+using bench::CellParams;
+using bench::CellResult;
 using sync::Mechanism;
 
-BarrierResult barrier_at(std::uint32_t cpus, Mechanism mech) {
+// run_barrier: primary = cycles per barrier, secondary = per processor.
+// run_lock: primary = total cycles.
+CellResult barrier_at(std::uint32_t cpus, Mechanism mech) {
   core::SystemConfig cfg;
   cfg.num_cpus = cpus;
-  BarrierParams params;
+  CellParams params;
   params.mech = mech;
   params.episodes = 6;
   return bench::run_barrier(cfg, params);
@@ -28,11 +28,10 @@ TEST(Shapes, MechanismOrderingAtEverySize) {
   // AMO < MAO < Atomic and AMO < MAO < LL/SC in barrier latency (the
   // paper's Table 2 ordering), at every size we test.
   for (std::uint32_t p : {8u, 16u, 32u}) {
-    const double llsc = barrier_at(p, Mechanism::kLlSc).cycles_per_barrier;
-    const double atomic =
-        barrier_at(p, Mechanism::kAtomic).cycles_per_barrier;
-    const double mao = barrier_at(p, Mechanism::kMao).cycles_per_barrier;
-    const double amo = barrier_at(p, Mechanism::kAmo).cycles_per_barrier;
+    const double llsc = barrier_at(p, Mechanism::kLlSc).primary;
+    const double atomic = barrier_at(p, Mechanism::kAtomic).primary;
+    const double mao = barrier_at(p, Mechanism::kMao).primary;
+    const double amo = barrier_at(p, Mechanism::kAmo).primary;
     EXPECT_LT(amo, mao) << "P=" << p;
     EXPECT_LT(mao, atomic) << "P=" << p;
     EXPECT_LT(atomic, llsc) << "P=" << p;
@@ -40,12 +39,12 @@ TEST(Shapes, MechanismOrderingAtEverySize) {
 }
 
 TEST(Shapes, AmoSpeedupGrowsWithScale) {
-  const double s8 = barrier_at(8, Mechanism::kLlSc).cycles_per_barrier /
-                    barrier_at(8, Mechanism::kAmo).cycles_per_barrier;
-  const double s32 = barrier_at(32, Mechanism::kLlSc).cycles_per_barrier /
-                     barrier_at(32, Mechanism::kAmo).cycles_per_barrier;
-  const double s64 = barrier_at(64, Mechanism::kLlSc).cycles_per_barrier /
-                     barrier_at(64, Mechanism::kAmo).cycles_per_barrier;
+  const double s8 = barrier_at(8, Mechanism::kLlSc).primary /
+                    barrier_at(8, Mechanism::kAmo).primary;
+  const double s32 = barrier_at(32, Mechanism::kLlSc).primary /
+                     barrier_at(32, Mechanism::kAmo).primary;
+  const double s64 = barrier_at(64, Mechanism::kLlSc).primary /
+                     barrier_at(64, Mechanism::kAmo).primary;
   EXPECT_GT(s32, s8);
   EXPECT_GT(s64, s32);
   EXPECT_GT(s64, 15.0);  // paper: 23.8 at 64; guard against collapse
@@ -54,10 +53,10 @@ TEST(Shapes, AmoSpeedupGrowsWithScale) {
 TEST(Shapes, Figure5Signatures) {
   // LL/SC cycles-per-processor RISES with P (superlinear total);
   // AMO cycles-per-processor FALLS (t = t_o + t_p*P).
-  const double llsc16 = barrier_at(16, Mechanism::kLlSc).cycles_per_proc;
-  const double llsc64 = barrier_at(64, Mechanism::kLlSc).cycles_per_proc;
-  const double amo16 = barrier_at(16, Mechanism::kAmo).cycles_per_proc;
-  const double amo64 = barrier_at(64, Mechanism::kAmo).cycles_per_proc;
+  const double llsc16 = barrier_at(16, Mechanism::kLlSc).secondary;
+  const double llsc64 = barrier_at(64, Mechanism::kLlSc).secondary;
+  const double amo16 = barrier_at(16, Mechanism::kAmo).secondary;
+  const double amo64 = barrier_at(64, Mechanism::kAmo).secondary;
   EXPECT_GT(llsc64, llsc16);
   EXPECT_LT(amo64, amo16);
 }
@@ -67,19 +66,19 @@ TEST(Shapes, TreesHelpConventionalNotAmo) {
   // not need them (at moderate sizes AMO-central beats AMO+tree).
   core::SystemConfig cfg;
   cfg.num_cpus = 32;
-  BarrierParams central;
+  CellParams central;
   central.episodes = 6;
-  BarrierParams tree = central;
+  CellParams tree = central;
   tree.kind = bench::BarrierKind::kTree;
   tree.fanout = 8;
 
   central.mech = tree.mech = Mechanism::kLlSc;
-  EXPECT_LT(bench::run_barrier(cfg, tree).cycles_per_barrier,
-            bench::run_barrier(cfg, central).cycles_per_barrier);
+  EXPECT_LT(bench::run_barrier(cfg, tree).primary,
+            bench::run_barrier(cfg, central).primary);
 
   central.mech = tree.mech = Mechanism::kAmo;
-  EXPECT_LE(bench::run_barrier(cfg, central).cycles_per_barrier,
-            bench::run_barrier(cfg, tree).cycles_per_barrier);
+  EXPECT_LE(bench::run_barrier(cfg, central).primary,
+            bench::run_barrier(cfg, tree).primary);
 }
 
 TEST(Shapes, ArrayLockCrossover) {
@@ -88,11 +87,11 @@ TEST(Shapes, ArrayLockCrossover) {
   auto lock_cycles = [](std::uint32_t cpus, bool array) {
     core::SystemConfig cfg;
     cfg.num_cpus = cpus;
-    LockParams params;
+    CellParams params;
     params.mech = Mechanism::kLlSc;
     params.array = array;
     params.iters = 4;
-    return bench::run_lock(cfg, params).total_cycles;
+    return bench::run_lock(cfg, params).primary;
   };
   EXPECT_LT(lock_cycles(8, false), lock_cycles(8, true));    // ticket wins
   EXPECT_GT(lock_cycles(64, false), lock_cycles(64, true));  // array wins
@@ -102,7 +101,7 @@ TEST(Shapes, AmoLockTrafficIsLowest) {
   auto traffic = [](Mechanism mech) {
     core::SystemConfig cfg;
     cfg.num_cpus = 32;
-    LockParams params;
+    CellParams params;
     params.mech = mech;
     params.iters = 4;
     return bench::run_lock(cfg, params).traffic.bytes;
@@ -117,11 +116,11 @@ TEST(Shapes, DelayedPutBeatsEagerAtScale) {
   delayed_cfg.num_cpus = 32;
   core::SystemConfig eager_cfg = delayed_cfg;
   eager_cfg.amu.eager_put_all = true;
-  BarrierParams params;
+  CellParams params;
   params.mech = Mechanism::kAmo;
   params.episodes = 6;
-  EXPECT_LT(bench::run_barrier(delayed_cfg, params).cycles_per_barrier,
-            bench::run_barrier(eager_cfg, params).cycles_per_barrier);
+  EXPECT_LT(bench::run_barrier(delayed_cfg, params).primary,
+            bench::run_barrier(eager_cfg, params).primary);
 }
 
 bench::CellResult spin_cell_at(std::uint32_t cpus, std::uint32_t active,
@@ -181,12 +180,12 @@ TEST(Shapes, AmoAdvantageGrowsWithHopLatency) {
     core::SystemConfig cfg;
     cfg.num_cpus = 32;
     cfg.net.hop_cycles = hop;
-    BarrierParams params;
+    CellParams params;
     params.episodes = 6;
     params.mech = Mechanism::kLlSc;
-    const double base = bench::run_barrier(cfg, params).cycles_per_barrier;
+    const double base = bench::run_barrier(cfg, params).primary;
     params.mech = Mechanism::kAmo;
-    return base / bench::run_barrier(cfg, params).cycles_per_barrier;
+    return base / bench::run_barrier(cfg, params).primary;
   };
   EXPECT_GT(speedup_at_hop(400), speedup_at_hop(50));
 }
