@@ -11,7 +11,6 @@
 #include "core/machine.hpp"
 #include "net/network.hpp"
 #include "sim/stats.hpp"
-#include "sim/timeout.hpp"
 #include "svc/service.hpp"
 #include "sync/barrier.hpp"
 #include "sync/lock.hpp"
@@ -63,16 +62,14 @@ CellResult run_fig1_cell(const core::SystemConfig& cfg, const CellParams& p,
     m.spawn(c, [&, mech](core::ThreadCtx& t) -> sim::Task<void> {
       (void)co_await sync::fetch_add(mech, t, var, 1,
                                      /*test=*/std::uint64_t{3});
+      const auto all_in = [](std::uint64_t v) { return v == 3; };
       if (mech == sync::Mechanism::kMao) {
-        while (co_await t.uncached_load(var) != 3) co_await t.delay(400);
+        (void)co_await sync::spin_uncached_until(
+            t, var, all_in, [](std::uint64_t) { return sim::Cycle{400}; });
       } else {
-        while (co_await t.load(var) != 3) {
-          (void)co_await sim::with_timeout(
-              t.engine(), t.core().cache().line_event(var), 2000);
-        }
+        (void)co_await sync::spin_cached_until(t, var, all_in);
       }
-      done = std::max(done, t.now());  // engine.now() would include
-                                       // harmless leftover timers
+      done = std::max(done, t.now());
     });
   }
   m.run();
@@ -274,10 +271,8 @@ CellResult run_lock_algo_cell(const core::SystemConfig& cfg,
 
 // Spin-wait virtualization cost model: `active` cpus run central-barrier
 // episodes while every other cpu busy-waits on a flag that only flips
-// after the last episode. With the default fallback re-poll, every idle
-// waiter wakes a few times per episode, so host events per episode grow
-// with TOTAL cpus; with spin.recheck_cycles=0 (quiesce) parked waiters
-// are event-free and the per-episode cost tracks the ACTIVE set.
+// after the last episode. Parked waiters are event-free, so host events
+// per episode track the ACTIVE set, not the total cpu count.
 CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p,
                          bool record) {
   core::Machine m(cfg);
@@ -298,11 +293,11 @@ CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p,
         co_await barrier->wait(t);
         if (c == 0 && ep == 1) {
           t0 = t.now();
-          e0 = m.engine().real_events_executed();
+          e0 = m.engine().events_executed();
         }
         if (c == 0 && ep == episodes + 1) {
           t1 = t.now();
-          e1 = m.engine().real_events_executed();
+          e1 = m.engine().events_executed();
         }
       }
       if (c == 0) co_await t.store(done_flag, 1);
@@ -329,7 +324,6 @@ CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p,
     rec["active"] = active;
     rec["mechanism"] = sync::to_string(p.mech);
     rec["episodes"] = episodes;
-    rec["quiesce"] = cfg.spin.recheck_cycles == 0;
     rec["cycles_per_episode"] = cycles_per_ep;
     rec["events_per_episode"] = events_per_ep;
     rec["registry"] = m.stats_json();

@@ -374,10 +374,8 @@ SweepSpec build_extension_locks(const CliOptions& opt) {
 
 // --------------------------------------------------- microbench_spin
 // Spin-wait virtualization: an AMO central barrier among `active` cpus
-// with every remaining cpu busy-waiting. Each active count runs twice —
-// fallback re-poll (default) vs quiesce (spin.recheck_cycles=0) — so the
-// table shows host events per episode collapsing from O(total cpus) to
-// O(active cpus) while simulated cycles stay put.
+// with every remaining cpu busy-waiting on a cached flag. Parked waiters
+// cost no events, so host events per episode track the active set.
 SweepSpec build_microbench_spin(const CliOptions& opt) {
   const auto cpus = resolved_cpus(opt, {256}, {64});
   const std::uint32_t p = cpus.front();
@@ -389,17 +387,12 @@ SweepSpec build_microbench_spin(const CliOptions& opt) {
   }
   actives.push_back(p);
   for (std::uint32_t a : actives) {
-    for (const bool quiesce : {false, true}) {
-      Cell c = cell(p, {});
-      c.params.kernel = Kernel::kSpin;
-      c.params.mech = Mechanism::kAmo;
-      c.params.episodes = episodes;
-      c.params.active = a;
-      if (quiesce) {
-        c.set.push_back({"spin.recheck_cycles", sim::Json(std::uint64_t{0})});
-      }
-      s.cells.push_back(std::move(c));
-    }
+    Cell c = cell(p, {});
+    c.params.kernel = Kernel::kSpin;
+    c.params.mech = Mechanism::kAmo;
+    c.params.episodes = episodes;
+    c.params.active = a;
+    s.cells.push_back(std::move(c));
   }
   return s;
 }
@@ -813,23 +806,18 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
            "expected shape: within a mechanism, mcs/array beat tas/ticket "
            "at scale; within an algorithm, AMO wins; AMO ticket rivals "
            "conventional MCS (the paper's simplicity argument)."});
-  const std::vector<std::string> actives = {"num_cpus", "active"};
-  const std::vector<std::string> recheck = {"spin.recheck_cycles"};
   reg.add({"microbench_spin",
            "spin-wait virtualization: events/episode vs active cpus",
            build_microbench_spin,
            {{.title = "Microbench: spin-wait virtualization, host events "
                       "per episode (AMO central barrier + idle "
                       "busy-waiters)",
-             .rows = actives, .cols = recheck, .metric = M::kSecondary},
+             .rows = cpus, .cols = {"active"}, .metric = M::kSecondary},
             {.title = "Microbench: spin-wait virtualization, cycles per "
                       "episode",
-             .rows = actives, .cols = recheck}},
-           "columns: spin.recheck_cycles 2000 = fallback poll, 0 = "
-           "quiesce.\n"
-           "expected shape: quiesced events/episode track the active set "
-           "(near-flat in total P), polled events grow with every parked "
-           "cpu's fallback timer; cycles agree between modes."});
+             .rows = cpus, .cols = {"active"}}},
+           "expected shape: events/episode track the active set, not the "
+           "total P (parked waiters cost no events)."});
   const std::vector<std::string> domains = {"sim_threads"};
   reg.add({"microbench_pdes",
            "host-parallel PDES scaling: wall-clock at sim_threads=1/2/4",

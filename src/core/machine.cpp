@@ -20,17 +20,12 @@ Machine::Machine(const SystemConfig& config)
   for (std::uint32_t d = 0; d < domains_.count(); ++d) {
     backings_.emplace_back(config_.line_bytes());
   }
-  // Spin quiescence touches two subsystems: the cache controller must
-  // close its lost-wakeup holes once the fallback re-poll timer is gone,
-  // and the directory must accept word-watch registrations when uncached
-  // or LL/SC spins park at the home node. Both stay inert by default.
-  const bool quiesce = config_.spin.recheck_cycles == 0;
-  const bool watch = config_.spin.uncached_watch ||
-                     config_.spin.llsc_watch_after != 0;
-  config_.cache.spin_wake_all = quiesce;
-  config_.dir.word_watch = watch;
+  // The directory accepts word-watch registrations only when uncached or
+  // LL/SC spins park at the home node; inert by default.
+  config_.dir.word_watch = config_.spin.uncached_watch ||
+                           config_.spin.llsc_watch_after != 0;
   // One observability knob fans out to every subsystem's derived flag
-  // (same pattern as quiesce/watch above): default-off keeps recording
+  // (same pattern as the watch above): default-off keeps recording
   // branches cold and registry dumps byte-identical.
   const bool hists = config_.stats.histograms;
   config_.cache.histograms = hists;
@@ -151,13 +146,19 @@ Machine::Machine(const SystemConfig& config)
     cores_[c]->cache().register_stats(registry_,
                                       "cpu" + std::to_string(c) + ".cache");
   }
-  if (quiesce || watch) {
-    // Conditional so default-mode registry dumps stay byte-identical.
-    for (sim::CpuId c = 0; c < config_.num_cpus; ++c) {
-      ctxs_[c]->register_spin_stats(registry_,
-                                    "cpu" + std::to_string(c) + ".spin");
-    }
-  }
+  // Spin counters are machine-wide sums: per-cpu entries would add 3·P
+  // string-keyed registrations to every Machine build.
+  const auto add_spin = [this](const char* name,
+                               std::uint64_t SpinStats::*field) {
+    registry_.add_fn(name, [this, field] {
+      std::uint64_t v = 0;
+      for (const auto& ctx : ctxs_) v += ctx->spin_stats().*field;
+      return v;
+    });
+  };
+  add_spin("spin.parked_wakes", &SpinStats::parked_wakes);
+  add_spin("spin.elided_polls", &SpinStats::elided_polls);
+  add_spin("spin.watch_waits", &SpinStats::watch_waits);
   if (hists) {
     // Latency histograms, all conditional: default-mode dumps keep their
     // exact bytes, and every merge walks shards in ascending domain

@@ -8,23 +8,20 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "core/spin_config.hpp"
 #include "core/stats_config.hpp"
 #include "cpu/core.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats_registry.hpp"
 #include "sim/task.hpp"
 
 namespace amo::core {
 
-/// Per-thread spin-virtualization counters. Registered into the stats
-/// registry only when a quiesce feature is enabled, so default-mode
-/// registry dumps are unchanged.
+/// Per-thread spin-virtualization counters. Machine sums them over all
+/// threads into the `spin.*` registry entries.
 struct SpinStats {
   std::uint64_t parked_wakes = 0;   // cached-spin event-driven wake-ups
-  std::uint64_t elided_polls = 0;   // polls quiescence never issued
+  std::uint64_t elided_polls = 0;   // uncached polls a word watch elided
   std::uint64_t watch_waits = 0;    // uncached word-watch registrations
 };
 
@@ -54,12 +51,6 @@ class ThreadCtx {
   /// Spin-wait virtualization knobs (machine-wide; see SpinConfig).
   [[nodiscard]] const SpinConfig& spin() const { return spin_; }
   [[nodiscard]] SpinStats& spin_stats() { return spin_stats_; }
-  void register_spin_stats(sim::StatsRegistry& reg,
-                           const std::string& prefix) const {
-    reg.add_counter(prefix + ".parked_wakes", &spin_stats_.parked_wakes);
-    reg.add_counter(prefix + ".elided_polls", &spin_stats_.elided_polls);
-    reg.add_counter(prefix + ".watch_waits", &spin_stats_.watch_waits);
-  }
 
   // ---- coherent memory ----
   sim::Task<std::uint64_t> load(sim::Addr a) { return core_.cache().load(a); }

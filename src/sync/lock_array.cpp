@@ -38,8 +38,10 @@ class ArrayLock final : public Lock {
 
   sim::Task<void> acquire(core::ThreadCtx& t) override {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
-    const std::uint64_t s =
-        (co_await fetch_add(mech_, t, sequencer_, 1)) % nslots_;
+    // Keep co_await out of the `%` operand: GCC 12 with
+    // -fsanitize=undefined loses the divisor across the suspension.
+    const std::uint64_t ticket = co_await fetch_add(mech_, t, sequencer_, 1);
+    const std::uint64_t s = ticket % nslots_;
     my_slot_[t.cpu()] = static_cast<std::uint32_t>(s);
     (void)co_await spin_cached_until(
         t, flags_[s], [](std::uint64_t v) { return v != 0; });

@@ -153,18 +153,16 @@ TEST(AllocCount, AmoBarrierEpisodeSteadyStateIsAllocationFree) {
 }
 
 // The spin-virtualization layer's version of the same claim: a complete
-// cached-spin episode — park registration, fallback re-poll timers
-// arming, firing, and re-arming, detach/re-park, the final line-event
-// wake — stays allocation-free once the frame and timer-cell pools are
-// warm. Each episode survives ~16 fallback timeouts before release.
-TEST(AllocCount, CachedSpinEpisodeWithFallbackTimeoutsIsAllocationFree) {
+// cached-spin episode — park registration, the coherence wake, the
+// re-poll miss, unpark — stays allocation-free once the frame pool and
+// the park table are warm.
+TEST(AllocCount, CachedSpinEpisodeIsAllocationFree) {
   core::SystemConfig cfg;
   cfg.num_cpus = 2;
   core::Machine m(cfg);
   const sim::Addr flag = m.galloc().alloc_word_line(0);
   constexpr int kWarmup = 8;
   constexpr int kEpisodes = 24;
-  constexpr sim::Cycle kRecheck = 250;
   constexpr sim::Cycle kHold = 4000;
   std::uint64_t before = 0;
   std::uint64_t after = 0;
@@ -172,7 +170,7 @@ TEST(AllocCount, CachedSpinEpisodeWithFallbackTimeoutsIsAllocationFree) {
     for (int ep = 1; ep <= kEpisodes; ++ep) {
       const auto goal = static_cast<std::uint64_t>(ep);
       co_await sync::spin_cached_until(
-          t, flag, [goal](std::uint64_t x) { return x >= goal; }, kRecheck);
+          t, flag, [goal](std::uint64_t x) { return x >= goal; });
       if (ep == kWarmup) before = g_news.load();
       if (ep == kEpisodes) after = g_news.load();
     }
