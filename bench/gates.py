@@ -83,7 +83,10 @@ def pdes(path):
     assert recs, "no records emitted"
     by_cell = {}
     for r in recs:
-        assert r["workload"] == "microbench_pdes"
+        # The PDES cells run the flat tree barrier; like every hierarchy
+        # kind it reports through the microbench_hier record.
+        assert r["workload"] == "microbench_hier"
+        assert r["barrier"] == "flat_tree"
         assert r["cycles_per_episode"] > 0
         assert r["events"] > 0
         assert r["wall_ms"] > 0
@@ -120,7 +123,7 @@ def same_simulated_fields(path_a, path_b, sim):
 
 def pdes_determinism(path_a, path_b):
     same_simulated_fields(path_a, path_b,
-                          ("cpus", "sim_threads", "mechanism", "fanout",
+                          ("cpus", "sim_threads", "mechanism", "barrier",
                            "episodes", "cycles_per_episode", "total_cycles",
                            "events"))
 

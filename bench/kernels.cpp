@@ -2,7 +2,6 @@
 // driven by CellParams. A kernel returns its headline numbers in
 // CellResult and, when asked, its --json record.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -76,6 +75,7 @@ CellResult run_fig1_cell(const core::SystemConfig& cfg, const CellParams& p,
   CellResult r;
   r.primary = static_cast<double>(done);
   r.aux = m.stats().net.packets;
+  r.events = m.domains().total_events_executed();
   if (record) {
     sim::Json rec = sim::Json::object();
     rec["workload"] = "fig1_episode";
@@ -89,63 +89,12 @@ CellResult run_fig1_cell(const core::SystemConfig& cfg, const CellParams& p,
   return r;
 }
 
-// K independent ticket locks all homed on node 0, each contended by a
-// disjoint processor group; past 2*K AMU cache words the AMU thrashes.
-CellResult run_multilock_cell(const core::SystemConfig& cfg,
-                              const CellParams& p) {
-  core::Machine m(cfg);
-  const int iters = p.iters;
-  // Each lock needs TWO AMU-resident words (sequencer + now_serving).
-  std::vector<std::unique_ptr<sync::Lock>> locks;
-  for (std::uint32_t l = 0; l < p.locks; ++l) {
-    locks.push_back(sync::make_ticket_lock(m, p.mech));
-  }
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    sync::Lock& lock = *locks[c % p.locks];
-    m.spawn(c, [&, iters](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int it = 0; it < iters; ++it) {
-        co_await lock.acquire(t);
-        co_await t.compute(50);
-        co_await lock.release(t);
-        co_await t.compute(t.rng().below(200));
-      }
-    });
-  }
-  m.run();
-  CellResult r;
-  r.primary = static_cast<double>(m.engine().now());
-  return r;
-}
-
-CellResult run_ticket_backoff_cell(const core::SystemConfig& cfg,
-                                   const CellParams& p) {
-  core::Machine m(cfg);
-  const int iters = p.iters;
-  sync::TicketLockConfig lcfg;
-  lcfg.backoff = p.backoff;
-  auto lock = sync::make_ticket_lock(m, p.mech, lcfg);
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&, iters](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int i2 = 0; i2 < iters; ++i2) {
-        co_await lock->acquire(t);
-        co_await t.compute(50);
-        co_await lock->release(t);
-        co_await t.compute(t.rng().below(200));
-      }
-    });
-  }
-  m.run();
-  CellResult r;
-  r.primary = static_cast<double>(m.engine().now());
-  return r;
-}
-
 // Groups of four: cpu 4k produces through an AMO flag; cpus 4k+1..4k+3
 // consume. Each flag has exactly three cached sharers regardless of
 // machine size, so an exact directory entry fans each put out to ~2 nodes
 // while a coarse (pointer-overflowed) entry must touch every node.
 CellResult run_pairwise_flags_cell(const core::SystemConfig& cfg,
-                                   const CellParams& p) {
+                                   const CellParams& p, bool record) {
   core::Machine m(cfg);
   const int rounds = p.rounds;
   const std::uint32_t groups = cfg.num_cpus / 4;
@@ -176,308 +125,24 @@ CellResult run_pairwise_flags_cell(const core::SystemConfig& cfg,
   }
   m.run();
   CellResult res;
-  res.primary = static_cast<double>(m.engine().now());
+  res.primary = static_cast<double>(m.domains().max_now());
+  res.traffic = snap(m.network());
   res.aux = m.stats().dir.word_updates_sent;
+  res.events = m.domains().total_events_executed();
+  if (record) {
+    sim::Json rec = sim::Json::object();
+    rec["workload"] = "pairwise_flags";
+    rec["cpus"] = cfg.num_cpus;
+    rec["mechanism"] = sync::to_string(p.mech);
+    rec["rounds"] = rounds;
+    rec["total_cycles"] = res.primary;
+    rec["word_updates"] = res.aux;
+    rec["traffic"] = traffic_json(res.traffic);
+    rec["config"] = config_json(cfg);
+    rec["registry"] = m.stats_json();
+    res.record = std::move(rec);
+  }
   return res;
-}
-
-CellResult run_barrier_style_cell(const core::SystemConfig& cfg,
-                                  const CellParams& p) {
-  core::Machine m(cfg);
-  const int episodes = p.episodes;
-  std::unique_ptr<sync::Barrier> barrier;
-  switch (p.style) {
-    case BarrierStyle::kNaive:
-      barrier = sync::make_naive_barrier(m, p.mech, cfg.num_cpus);
-      break;
-    case BarrierStyle::kOptimized:
-      barrier = sync::make_central_barrier(m, p.mech, cfg.num_cpus);
-      break;
-    case BarrierStyle::kDissemination:
-      barrier = sync::make_dissemination_barrier(m, p.mech, cfg.num_cpus);
-      break;
-    case BarrierStyle::kMcsTree:
-      barrier = sync::make_mcs_tree_barrier(m, p.mech, cfg.num_cpus);
-      break;
-  }
-  sim::Cycle t0 = 0;
-  sim::Cycle t1 = 0;
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&, c, episodes](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int ep = 0; ep < episodes + 2; ++ep) {
-        co_await t.compute(t.rng().below(200));
-        co_await barrier->wait(t);
-        if (c == 0 && ep == 1) t0 = t.now();
-        if (c == 0 && ep == episodes + 1) t1 = t.now();
-      }
-    });
-  }
-  m.run();
-  CellResult r;
-  r.primary = static_cast<double>(t1 - t0) / episodes;
-  return r;
-}
-
-CellResult run_lock_algo_cell(const core::SystemConfig& cfg,
-                              const CellParams& p, bool record) {
-  core::Machine m(cfg);
-  const int iters = p.iters;
-  std::unique_ptr<sync::Lock> lock;
-  switch (p.algo) {
-    case LockAlgo::kTas: lock = sync::make_tas_lock(m, p.mech); break;
-    case LockAlgo::kTicket: lock = sync::make_ticket_lock(m, p.mech); break;
-    case LockAlgo::kArray:
-      lock = sync::make_array_lock(m, p.mech, cfg.num_cpus);
-      break;
-    case LockAlgo::kMcs: lock = sync::make_mcs_lock(m, p.mech); break;
-    case LockAlgo::kCna:
-      lock = sync::make_cna_lock(m, p.mech, cfg.hier.levels,
-                                 cfg.hier.cna_threshold);
-      break;
-    case LockAlgo::kHmcs:
-      lock = sync::make_hmcs_lock(m, p.mech, cfg.hier.levels,
-                                  cfg.hier.hmcs_threshold);
-      break;
-  }
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&, iters](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int i = 0; i < iters; ++i) {
-        co_await lock->acquire(t);
-        co_await t.compute(50);
-        co_await lock->release(t);
-        co_await t.compute(t.rng().below(200));
-      }
-    });
-  }
-  m.run();
-  const double total = static_cast<double>(m.engine().now());
-  CellResult r;
-  r.primary = total;
-  if (record) {
-    sim::Json rec = sim::Json::object();
-    rec["workload"] = "lock_algo";
-    rec["cpus"] = cfg.num_cpus;
-    rec["mechanism"] = sync::to_string(p.mech);
-    rec["lock"] = to_string(p.algo);
-    rec["iters"] = iters;
-    rec["total_cycles"] = total;
-    rec["traffic"]["packets"] = m.network().stats().packets;
-    rec["traffic"]["bytes"] = m.network().stats().bytes;
-    rec["registry"] = m.stats_json();
-    r.record = std::move(rec);
-  }
-  return r;
-}
-
-// Spin-wait virtualization cost model: `active` cpus run central-barrier
-// episodes while every other cpu busy-waits on a flag that only flips
-// after the last episode. Parked waiters are event-free, so host events
-// per episode track the ACTIVE set, not the total cpu count.
-CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p,
-                         bool record) {
-  core::Machine m(cfg);
-  const std::uint32_t active =
-      p.active == 0 ? cfg.num_cpus : std::min(p.active, cfg.num_cpus);
-  const int episodes = p.episodes;
-  auto barrier = sync::make_central_barrier(m, p.mech, active);
-  const sim::Addr done_flag = m.galloc().alloc_word_line(0);
-
-  sim::Cycle t0 = 0;
-  sim::Cycle t1 = 0;
-  std::uint64_t e0 = 0;
-  std::uint64_t e1 = 0;
-  for (sim::CpuId c = 0; c < active; ++c) {
-    m.spawn(c, [&, c, episodes](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int ep = 0; ep < episodes + 2; ++ep) {
-        if (p.max_skew != 0) co_await t.compute(t.rng().below(p.max_skew));
-        co_await barrier->wait(t);
-        if (c == 0 && ep == 1) {
-          t0 = t.now();
-          e0 = m.engine().events_executed();
-        }
-        if (c == 0 && ep == episodes + 1) {
-          t1 = t.now();
-          e1 = m.engine().events_executed();
-        }
-      }
-      if (c == 0) co_await t.store(done_flag, 1);
-    });
-  }
-  for (sim::CpuId c = active; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
-      (void)co_await sync::spin_cached_until(
-          t, done_flag, [](std::uint64_t v) { return v != 0; });
-    });
-  }
-  m.run();
-
-  const double cycles_per_ep = static_cast<double>(t1 - t0) / episodes;
-  const double events_per_ep = static_cast<double>(e1 - e0) / episodes;
-  CellResult r;
-  r.primary = cycles_per_ep;
-  r.secondary = events_per_ep;
-  r.aux = e1 - e0;
-  if (record) {
-    sim::Json rec = sim::Json::object();
-    rec["workload"] = "microbench_spin";
-    rec["cpus"] = cfg.num_cpus;
-    rec["active"] = active;
-    rec["mechanism"] = sync::to_string(p.mech);
-    rec["episodes"] = episodes;
-    rec["cycles_per_episode"] = cycles_per_ep;
-    rec["events_per_episode"] = events_per_ep;
-    rec["registry"] = m.stats_json();
-    r.record = std::move(rec);
-  }
-  return r;
-}
-
-// Host-parallel scaling probe: tree-barrier episodes (node-local leaf
-// groups spread barrier work across the PDES domains), timed in both
-// simulated cycles and host wall-clock. The simulated metrics (primary,
-// total_cycles, events) are deterministic per sim_threads value; wall_ms
-// and events_per_sec are host measurements and land only in the --json
-// record, never in identity-checked output.
-CellResult run_pdes_cell(const core::SystemConfig& cfg, const CellParams& p,
-                         bool record) {
-  const int episodes = p.episodes;
-  sim::Cycle t0 = 0;
-  sim::Cycle t1 = 0;
-  std::uint64_t events = 0;
-  sim::Cycle total_cycles = 0;
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  {
-    core::Machine m(cfg);
-    auto barrier = sync::make_tree_barrier(m, p.mech, cfg.num_cpus, p.fanout);
-    for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-      m.spawn(c, [&, c, episodes](core::ThreadCtx& t) -> sim::Task<void> {
-        for (int ep = 0; ep < episodes + 2; ++ep) {
-          if (p.max_skew != 0) co_await t.compute(t.rng().below(p.max_skew));
-          co_await barrier->wait(t);
-          if (c == 0 && ep == 1) t0 = t.now();
-          if (c == 0 && ep == episodes + 1) t1 = t.now();
-        }
-      });
-    }
-    m.run();
-    events = m.domains().total_events_executed();
-    total_cycles = m.domains().max_now();
-  }
-  const auto wall_end = std::chrono::steady_clock::now();
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start)
-          .count();
-
-  const double cycles_per_ep = static_cast<double>(t1 - t0) / episodes;
-  CellResult r;
-  r.primary = cycles_per_ep;
-  r.secondary = wall_ms;
-  r.aux = events;
-  if (record) {
-    sim::Json rec = sim::Json::object();
-    rec["workload"] = "microbench_pdes";
-    rec["cpus"] = cfg.num_cpus;
-    rec["sim_threads"] = cfg.sim_threads;
-    rec["mechanism"] = sync::to_string(p.mech);
-    rec["fanout"] = p.fanout;
-    rec["episodes"] = episodes;
-    rec["cycles_per_episode"] = cycles_per_ep;
-    rec["total_cycles"] = total_cycles;
-    rec["events"] = events;
-    rec["wall_ms"] = wall_ms;
-    rec["events_per_sec"] =
-        wall_ms > 0 ? static_cast<double>(events) * 1000.0 / wall_ms : 0.0;
-    r.record = std::move(rec);
-  }
-  return r;
-}
-
-// Hierarchy-aware barrier probe: the flat fixed-fanout tree barrier vs
-// the cluster-hierarchical barrier (software fan-in or AMU aggregation),
-// measuring cycles per episode AND the packets crossing the fat tree's
-// ROOT links — the contended resource the hierarchy exists to relieve.
-// Root-link counts are read once after the run (mid-run snapshots would
-// race under sim_threads > 1), so the per-episode figure averages the
-// warmup episodes in; both variants pay the same warmup, so the gate's
-// ratio is unaffected. Wall-clock lands only in the --json record.
-CellResult run_hier_cell(const core::SystemConfig& cfg, const CellParams& p,
-                         bool record) {
-  const int episodes = p.episodes;
-  sim::Cycle t0 = 0;
-  sim::Cycle t1 = 0;
-  std::uint64_t root_links = 0;
-  std::uint64_t events = 0;
-  TrafficSnapshot traffic;
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  {
-    core::Machine m(cfg);
-    std::unique_ptr<sync::Barrier> barrier;
-    switch (p.hier) {
-      case HierBarrier::kFlatTree:
-        barrier = sync::make_tree_barrier(m, p.mech, cfg.num_cpus, p.fanout);
-        break;
-      case HierBarrier::kCluster:
-        // Software fan-in unless the config opts into AMU combining;
-        // the cluster_amu variant forces it regardless of the knob.
-        barrier = sync::make_cluster_barrier(m, p.mech, cfg.num_cpus,
-                                             cfg.hier.levels,
-                                             cfg.hier.amu_aggregation);
-        break;
-      case HierBarrier::kClusterAmu:
-        barrier = sync::make_cluster_barrier(m, p.mech, cfg.num_cpus,
-                                             cfg.hier.levels,
-                                             /*amu_aggregation=*/true);
-        break;
-    }
-    for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-      m.spawn(c, [&, c, episodes](core::ThreadCtx& t) -> sim::Task<void> {
-        for (int ep = 0; ep < episodes + 2; ++ep) {
-          if (p.max_skew != 0) co_await t.compute(t.rng().below(p.max_skew));
-          co_await barrier->wait(t);
-          if (c == 0 && ep == 1) t0 = t.now();
-          if (c == 0 && ep == episodes + 1) t1 = t.now();
-        }
-      });
-    }
-    m.run();
-    root_links = m.network().root_link_traversals();
-    events = m.domains().total_events_executed();
-    traffic.packets = m.network().stats().packets;
-    traffic.bytes = m.network().stats().bytes;
-  }
-  const auto wall_end = std::chrono::steady_clock::now();
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start)
-          .count();
-
-  const double cycles_per_ep = static_cast<double>(t1 - t0) / episodes;
-  const double root_per_ep =
-      static_cast<double>(root_links) / (episodes + 2);
-  CellResult r;
-  r.primary = cycles_per_ep;
-  r.secondary = root_per_ep;
-  r.traffic = traffic;
-  r.aux = root_links;
-  if (record) {
-    sim::Json rec = sim::Json::object();
-    rec["workload"] = "microbench_hier";
-    rec["cpus"] = cfg.num_cpus;
-    rec["sim_threads"] = cfg.sim_threads;
-    rec["mechanism"] = sync::to_string(p.mech);
-    rec["barrier"] = to_string(p.hier);
-    rec["levels"] = cfg.hier.levels;
-    rec["radix"] = cfg.net.radix;
-    rec["episodes"] = episodes;
-    rec["cycles_per_episode"] = cycles_per_ep;
-    rec["root_link_messages"] = root_links;
-    rec["root_link_messages_per_episode"] = root_per_ep;
-    rec["events"] = events;
-    rec["wall_ms"] = wall_ms;
-    r.record = std::move(rec);
-  }
-  return r;
 }
 
 // Open-loop sharded-service scenario: every cpu runs an independent
@@ -523,9 +188,9 @@ CellResult run_service_cell(const core::SystemConfig& cfg_in,
   CellResult r;
   r.primary = static_cast<double>(merged.quantile(0.999));
   r.secondary = merged.mean();
-  r.traffic.packets = m.network().stats().packets;
-  r.traffic.bytes = m.network().stats().bytes;
+  r.traffic = snap(m.network());
   r.aux = merged.count();
+  r.events = m.domains().total_events_executed();
   if (record) {
     sim::Json rec = sim::Json::object();
     rec["workload"] = "service";
@@ -549,61 +214,165 @@ CellResult run_service_cell(const core::SystemConfig& cfg_in,
   return r;
 }
 
+bool hier_kind(BarrierKind k) {
+  return k == BarrierKind::kFlatTree || k == BarrierKind::kCluster ||
+         k == BarrierKind::kClusterAmu;
+}
+
+std::unique_ptr<sync::Barrier> make_barrier(core::Machine& m,
+                                            const core::SystemConfig& cfg,
+                                            const CellParams& p,
+                                            std::uint32_t n) {
+  switch (p.kind) {
+    case BarrierKind::kCentral:
+      return sync::make_central_barrier(m, p.mech, n);
+    case BarrierKind::kTree:
+    case BarrierKind::kFlatTree:
+      return sync::make_tree_barrier(m, p.mech, n, p.fanout);
+    case BarrierKind::kNaive:
+      return sync::make_naive_barrier(m, p.mech, n);
+    case BarrierKind::kDissemination:
+      return sync::make_dissemination_barrier(m, p.mech, n);
+    case BarrierKind::kMcsTree:
+      return sync::make_mcs_tree_barrier(m, p.mech, n);
+    case BarrierKind::kCluster:
+    case BarrierKind::kClusterAmu:
+      // Software fan-in unless the config opts into AMU combining; the
+      // cluster_amu kind forces it regardless of the knob.
+      return sync::make_cluster_barrier(
+          m, p.mech, n, cfg.hier.levels,
+          p.kind == BarrierKind::kClusterAmu || cfg.hier.amu_aggregation);
+  }
+  return nullptr;
+}
+
+std::unique_ptr<sync::Lock> make_lock(core::Machine& m,
+                                      const core::SystemConfig& cfg,
+                                      const CellParams& p) {
+  switch (p.algo) {
+    case LockAlgo::kTas: return sync::make_tas_lock(m, p.mech);
+    case LockAlgo::kTicket: {
+      sync::TicketLockConfig lcfg;
+      lcfg.backoff = p.backoff;
+      return sync::make_ticket_lock(m, p.mech, lcfg);
+    }
+    case LockAlgo::kArray:
+      return sync::make_array_lock(m, p.mech, cfg.num_cpus);
+    case LockAlgo::kMcs: return sync::make_mcs_lock(m, p.mech);
+    case LockAlgo::kCna:
+      return sync::make_cna_lock(m, p.mech, cfg.hier.levels,
+                                 cfg.hier.cna_threshold);
+    case LockAlgo::kHmcs:
+      return sync::make_hmcs_lock(m, p.mech, cfg.hier.levels,
+                                  cfg.hier.hmcs_threshold);
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 CellResult run_barrier(const core::SystemConfig& cfg, const CellParams& p,
                        bool record) {
   core::Machine m(cfg);
-  std::unique_ptr<sync::Barrier> barrier =
-      p.kind == BarrierKind::kCentral
-          ? sync::make_central_barrier(m, p.mech, cfg.num_cpus)
-          : sync::make_tree_barrier(m, p.mech, cfg.num_cpus, p.fanout);
+  const std::uint32_t n =
+      p.active == 0 ? cfg.num_cpus : std::min(p.active, cfg.num_cpus);
+  std::unique_ptr<sync::Barrier> barrier = make_barrier(m, cfg, p, n);
+  // With an active subset, every other cpu busy-waits on a flag cpu 0
+  // raises after its last episode. Parked waiters are event-free, so host
+  // events per episode track the active set, not the cpu count.
+  const sim::Addr done_flag = p.active != 0 ? m.galloc().alloc_word_line(0)
+                                            : sim::Addr{0};
 
-  // Thread 0 brackets the measured region: right after its warmup exit and
-  // right after its last measured exit. All threads are within one barrier
-  // of each other at those points.
-  sim::Cycle t_start = 0;
-  sim::Cycle t_end = 0;
-  TrafficSnapshot traffic_start{};
-  TrafficSnapshot traffic_end{};
-
-  // Under PDES (sim_threads > 1) a mid-run Network::stats() call would
-  // read other domains' live shards; brackets keep only thread 0's local
-  // clock and the traffic window falls back to the whole run.
+  // Cpu 0 brackets the measured region: right after its warmup exit and
+  // right after its last measured exit. All cpus are within one barrier
+  // of each other at those points. Under PDES (sim_threads > 1) a mid-run
+  // read of the network or event counters would race other domains'
+  // shards, so brackets keep only cpu 0's clock and the traffic and
+  // event windows fall back to the whole run.
+  struct Mark {
+    sim::Cycle cycle = 0;
+    TrafficSnapshot traffic;
+    std::uint64_t events = 0;
+  };
+  Mark start;
+  Mark end;
   const bool parallel = cfg.sim_threads > 1;
+  const auto mark = [&](Mark& at, sim::Cycle now) {
+    at.cycle = now;
+    if (parallel) return;
+    at.traffic = snap(m.network());
+    at.events = m.engine().events_executed();
+  };
   const int total = p.warmup_episodes + p.episodes;
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
+  for (sim::CpuId c = 0; c < n; ++c) {
     m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
       for (int ep = 0; ep < total; ++ep) {
-        if (p.max_skew > 0) {
-          co_await t.compute(t.rng().below(p.max_skew));
-        }
+        if (p.max_skew > 0) co_await t.compute(t.rng().below(p.max_skew));
         co_await barrier->wait(t);
-        if (c == 0 && ep == p.warmup_episodes - 1) {
-          t_start = t.now();
-          if (!parallel) traffic_start = snap(m.network());
-        }
-        if (c == 0 && ep == total - 1) {
-          t_end = t.now();
-          if (!parallel) traffic_end = snap(m.network());
-        }
+        if (c == 0 && ep == p.warmup_episodes - 1) mark(start, t.now());
+        if (c == 0 && ep == total - 1) mark(end, t.now());
       }
+      if (c == 0 && p.active != 0) co_await t.store(done_flag, 1);
+    });
+  }
+  for (sim::CpuId c = n; c < cfg.num_cpus; ++c) {
+    m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
+      (void)co_await sync::spin_cached_until(
+          t, done_flag, [](std::uint64_t v) { return v != 0; });
     });
   }
   m.run();
-  if (parallel) traffic_end = snap(m.network());  // whole-run traffic
-
   CellResult r;
-  r.primary = static_cast<double>(t_end - t_start) / p.episodes;
-  r.secondary = r.primary / cfg.num_cpus;  // Figure 5/6: latency / P
-  r.traffic.packets = traffic_end.packets - traffic_start.packets;
-  r.traffic.bytes = traffic_end.bytes - traffic_start.bytes;
-  if (record) {
-    sim::Json rec = sim::Json::object();
+  r.events = m.domains().total_events_executed();
+  if (parallel) {
+    end.traffic = snap(m.network());
+    end.events = r.events;
+  }
+  const std::uint64_t root_links = m.network().root_link_traversals();
+  r.primary = static_cast<double>(end.cycle - start.cycle) / p.episodes;
+  r.traffic.packets = end.traffic.packets - start.traffic.packets;
+  r.traffic.bytes = end.traffic.bytes - start.traffic.bytes;
+  r.aux = end.events - start.events;
+  // Root-link counts cover the whole run (warmup included): both the flat
+  // and the cluster kinds pay the same warmup, so their ratio is fair.
+  if (hier_kind(p.kind)) {
+    r.secondary = static_cast<double>(root_links) / total;
+  } else if (p.active != 0) {
+    r.secondary = static_cast<double>(r.aux) / p.episodes;
+  } else {
+    r.secondary = r.primary / cfg.num_cpus;  // Figure 5/6: latency / P
+  }
+  if (!record) return r;
+
+  sim::Json rec = sim::Json::object();
+  if (hier_kind(p.kind)) {
+    rec["workload"] = "microbench_hier";
+    rec["cpus"] = cfg.num_cpus;
+    rec["sim_threads"] = cfg.sim_threads;
+    rec["mechanism"] = sync::to_string(p.mech);
+    rec["barrier"] = to_string(p.kind);
+    rec["levels"] = cfg.hier.levels;
+    rec["radix"] = cfg.net.radix;
+    rec["episodes"] = p.episodes;
+    rec["cycles_per_episode"] = r.primary;
+    rec["total_cycles"] = m.domains().max_now();
+    rec["root_link_messages"] = root_links;
+    rec["root_link_messages_per_episode"] = r.secondary;
+    rec["events"] = r.events;
+  } else if (p.active != 0) {
+    rec["workload"] = "microbench_spin";
+    rec["cpus"] = cfg.num_cpus;
+    rec["active"] = n;
+    rec["mechanism"] = sync::to_string(p.mech);
+    rec["episodes"] = p.episodes;
+    rec["cycles_per_episode"] = r.primary;
+    rec["events_per_episode"] = r.secondary;
+    rec["registry"] = m.stats_json();
+  } else {
     rec["workload"] = "barrier";
     rec["cpus"] = cfg.num_cpus;
     rec["mechanism"] = sync::to_string(p.mech);
-    rec["barrier"] = p.kind == BarrierKind::kCentral ? "central" : "tree";
+    rec["barrier"] = to_string(p.kind);
     if (p.kind == BarrierKind::kTree) rec["fanout"] = p.fanout;
     rec["episodes"] = p.episodes;
     rec["cycles_per_barrier"] = r.primary;
@@ -611,22 +380,28 @@ CellResult run_barrier(const core::SystemConfig& cfg, const CellParams& p,
     rec["traffic"] = traffic_json(r.traffic);
     rec["config"] = config_json(cfg);
     rec["registry"] = m.stats_json();
-    r.record = std::move(rec);
   }
+  r.record = std::move(rec);
   return r;
 }
 
 CellResult run_lock(const core::SystemConfig& cfg, const CellParams& p,
                     bool record) {
   core::Machine m(cfg);
-  std::unique_ptr<sync::Lock> lock =
-      p.array ? sync::make_array_lock(m, p.mech, cfg.num_cpus)
-              : sync::make_ticket_lock(m, p.mech);
+  std::vector<std::unique_ptr<sync::Lock>> locks;
+  for (std::uint32_t l = 0; l < p.locks; ++l) {
+    locks.push_back(make_lock(m, cfg, p));
+  }
   // A barrier separates warmup from the measured region so the timing
   // brackets are clean. It uses processor-side atomics regardless of the
   // lock mechanism under test; its traffic is excluded via snapshots.
-  auto fence = sync::make_central_barrier(m, sync::Mechanism::kAtomic,
-                                          cfg.num_cpus);
+  // Without warmup there is no fence, and the measured region is the
+  // whole run, up to the machine's end time.
+  const bool fenced = p.warmup_iters > 0;
+  std::unique_ptr<sync::Barrier> fence =
+      fenced ? sync::make_central_barrier(m, sync::Mechanism::kAtomic,
+                                          cfg.num_cpus)
+             : nullptr;
 
   sim::Cycle t_start = 0;
   sim::Cycle t_end = 0;
@@ -641,26 +416,30 @@ CellResult run_lock(const core::SystemConfig& cfg, const CellParams& p,
   std::vector<sim::Cycle> finish_at(parallel ? cfg.num_cpus : 0, 0);
 
   for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
+    sync::Lock& lock = *locks[c % p.locks];
     m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int i = 0; i < p.warmup_iters; ++i) {
-        co_await lock->acquire(t);
-        co_await t.compute(p.cs_cycles);
-        co_await lock->release(t);
-        co_await t.compute(t.rng().below(p.max_skew + 1));
-      }
-      co_await fence->wait(t);
-      if (c == 0) {
-        t_start = t.now();
-        if (!parallel) traffic_start = snap(m.network());
+      if (fenced) {
+        for (int i = 0; i < p.warmup_iters; ++i) {
+          co_await lock.acquire(t);
+          co_await t.compute(p.cs_cycles);
+          co_await lock.release(t);
+          co_await t.compute(t.rng().below(p.max_skew + 1));
+        }
+        co_await fence->wait(t);
+        if (c == 0) {
+          t_start = t.now();
+          if (!parallel) traffic_start = snap(m.network());
+        }
       }
       for (int i = 0; i < p.iters; ++i) {
-        co_await lock->acquire(t);
+        co_await lock.acquire(t);
         co_await t.compute(p.cs_cycles);
-        co_await lock->release(t);
+        co_await lock.release(t);
         if (p.max_skew > 0) {
           co_await t.compute(t.rng().below(p.max_skew));
         }
       }
+      if (!fenced) co_return;
       if (parallel) {
         finish_at[c] = t.now();
       } else if (++finished == cfg.num_cpus) {
@@ -671,7 +450,10 @@ CellResult run_lock(const core::SystemConfig& cfg, const CellParams& p,
     });
   }
   m.run();
-  if (parallel) {
+  if (!fenced) {
+    t_end = m.domains().max_now();
+    traffic_end = snap(m.network());
+  } else if (parallel) {
     t_end = *std::max_element(finish_at.begin(), finish_at.end());
     traffic_end = snap(m.network());
   }
@@ -682,12 +464,17 @@ CellResult run_lock(const core::SystemConfig& cfg, const CellParams& p,
       r.primary / (static_cast<double>(cfg.num_cpus) * p.iters);
   r.traffic.packets = traffic_end.packets - traffic_start.packets;
   r.traffic.bytes = traffic_end.bytes - traffic_start.bytes;
+  r.events = m.domains().total_events_executed();
   if (record) {
     sim::Json rec = sim::Json::object();
     rec["workload"] = "lock";
     rec["cpus"] = cfg.num_cpus;
     rec["mechanism"] = sync::to_string(p.mech);
-    rec["lock"] = p.array ? "array" : "ticket";
+    rec["lock"] = to_string(p.algo);
+    if (p.locks != 1) rec["locks"] = p.locks;
+    if (p.backoff != sync::TicketBackoff::kNone) {
+      rec["backoff"] = to_string(p.backoff);
+    }
     rec["iters"] = p.iters;
     rec["cs_cycles"] = p.cs_cycles;
     rec["total_cycles"] = r.primary;
@@ -705,15 +492,9 @@ CellResult run_cell(const core::SystemConfig& cfg, const CellParams& params,
   switch (params.kernel) {
     case Kernel::kBarrier: return run_barrier(cfg, params, record);
     case Kernel::kLock: return run_lock(cfg, params, record);
-    case Kernel::kLockAlgo: return run_lock_algo_cell(cfg, params, record);
-    case Kernel::kTicketBackoff: return run_ticket_backoff_cell(cfg, params);
     case Kernel::kFig1Episode: return run_fig1_cell(cfg, params, record);
-    case Kernel::kMultiLock: return run_multilock_cell(cfg, params);
-    case Kernel::kPairwiseFlags: return run_pairwise_flags_cell(cfg, params);
-    case Kernel::kBarrierStyle: return run_barrier_style_cell(cfg, params);
-    case Kernel::kSpin: return run_spin_cell(cfg, params, record);
-    case Kernel::kPdes: return run_pdes_cell(cfg, params, record);
-    case Kernel::kHier: return run_hier_cell(cfg, params, record);
+    case Kernel::kPairwiseFlags:
+      return run_pairwise_flags_cell(cfg, params, record);
     case Kernel::kService: return run_service_cell(cfg, params, record);
   }
   return {};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
@@ -22,16 +23,19 @@ struct EnumEntry {
 constexpr EnumEntry<Kernel> kKernelNames[] = {
     {Kernel::kBarrier, "barrier"},
     {Kernel::kLock, "lock"},
-    {Kernel::kLockAlgo, "lock_algo"},
-    {Kernel::kTicketBackoff, "ticket_backoff"},
     {Kernel::kFig1Episode, "fig1_episode"},
-    {Kernel::kMultiLock, "multilock"},
     {Kernel::kPairwiseFlags, "pairwise_flags"},
-    {Kernel::kBarrierStyle, "barrier_style"},
-    {Kernel::kSpin, "spin"},
-    {Kernel::kPdes, "pdes"},
-    {Kernel::kHier, "hier"},
     {Kernel::kService, "service"},
+};
+constexpr EnumEntry<BarrierKind> kKindNames[] = {
+    {BarrierKind::kCentral, "central"},
+    {BarrierKind::kTree, "tree"},
+    {BarrierKind::kNaive, "naive"},
+    {BarrierKind::kDissemination, "dissemination"},
+    {BarrierKind::kMcsTree, "mcs_tree"},
+    {BarrierKind::kFlatTree, "flat_tree"},
+    {BarrierKind::kCluster, "cluster"},
+    {BarrierKind::kClusterAmu, "cluster_amu"},
 };
 constexpr EnumEntry<LockAlgo> kAlgoNames[] = {
     {LockAlgo::kTas, "tas"},
@@ -40,21 +44,6 @@ constexpr EnumEntry<LockAlgo> kAlgoNames[] = {
     {LockAlgo::kMcs, "mcs"},
     {LockAlgo::kCna, "cna"},
     {LockAlgo::kHmcs, "hmcs"},
-};
-constexpr EnumEntry<HierBarrier> kHierNames[] = {
-    {HierBarrier::kFlatTree, "flat_tree"},
-    {HierBarrier::kCluster, "cluster"},
-    {HierBarrier::kClusterAmu, "cluster_amu"},
-};
-constexpr EnumEntry<BarrierStyle> kStyleNames[] = {
-    {BarrierStyle::kNaive, "naive"},
-    {BarrierStyle::kOptimized, "optimized"},
-    {BarrierStyle::kDissemination, "dissem"},
-    {BarrierStyle::kMcsTree, "mcs-tree"},
-};
-constexpr EnumEntry<BarrierKind> kKindNames[] = {
-    {BarrierKind::kCentral, "central"},
-    {BarrierKind::kTree, "tree"},
 };
 constexpr EnumEntry<sync::TicketBackoff> kBackoffNames[] = {
     {sync::TicketBackoff::kNone, "none"},
@@ -107,13 +96,6 @@ std::uint64_t uint_value(const std::string& field, const sim::Json& j) {
   }
 }
 
-bool bool_value(const std::string& field, const sim::Json& j) {
-  if (!j.is_bool()) {
-    throw std::runtime_error(field + ": expected a bool, got " + j.dump());
-  }
-  return j.as_bool();
-}
-
 // Every field, defaults included: the table keys resolve against this.
 sim::Json params_to_json(const CellParams& p) {
   sim::Json j = sim::Json::object();
@@ -124,17 +106,14 @@ sim::Json params_to_json(const CellParams& p) {
   j["warmup_episodes"] = p.warmup_episodes;
   j["episodes"] = p.episodes;
   j["max_skew"] = p.max_skew;
-  j["array"] = p.array;
+  j["active"] = p.active;
+  j["algo"] = enum_name(kAlgoNames, p.algo);
   j["warmup_iters"] = p.warmup_iters;
   j["iters"] = p.iters;
   j["cs_cycles"] = p.cs_cycles;
-  j["algo"] = enum_name(kAlgoNames, p.algo);
   j["backoff"] = enum_name(kBackoffNames, p.backoff);
   j["locks"] = p.locks;
   j["rounds"] = p.rounds;
-  j["style"] = enum_name(kStyleNames, p.style);
-  j["active"] = p.active;
-  j["hier"] = enum_name(kHierNames, p.hier);
   j["requests"] = p.requests;
   return j;
 }
@@ -181,36 +160,31 @@ CellParams params_from_json(const sim::Json& j) {
       p.episodes = int_value(f, v);
     } else if (key == "max_skew") {
       p.max_skew = uint_value(f, v);
-    } else if (key == "array") {
-      p.array = bool_value(f, v);
+    } else if (key == "active") {
+      p.active = static_cast<std::uint32_t>(uint_value(f, v));
+    } else if (key == "algo") {
+      p.algo = enum_value(kAlgoNames, f, v);
     } else if (key == "warmup_iters") {
       p.warmup_iters = int_value(f, v);
     } else if (key == "iters") {
       p.iters = int_value(f, v);
     } else if (key == "cs_cycles") {
       p.cs_cycles = uint_value(f, v);
-    } else if (key == "algo") {
-      p.algo = enum_value(kAlgoNames, f, v);
     } else if (key == "backoff") {
       p.backoff = enum_value(kBackoffNames, f, v);
     } else if (key == "locks") {
       p.locks = static_cast<std::uint32_t>(uint_value(f, v));
+      if (p.locks == 0) throw std::runtime_error(f + ": expected >= 1");
     } else if (key == "rounds") {
       p.rounds = int_value(f, v);
-    } else if (key == "style") {
-      p.style = enum_value(kStyleNames, f, v);
-    } else if (key == "active") {
-      p.active = static_cast<std::uint32_t>(uint_value(f, v));
-    } else if (key == "hier") {
-      p.hier = enum_value(kHierNames, f, v);
     } else if (key == "requests") {
       p.requests = uint_value(f, v);
     } else {
       throw std::runtime_error(
           f + ": unknown parameter; candidates: kernel, mech, kind, fanout, "
-              "warmup_episodes, episodes, max_skew, array, warmup_iters, "
-              "iters, cs_cycles, algo, backoff, locks, rounds, style, "
-              "active, hier, requests");
+              "warmup_episodes, episodes, max_skew, active, algo, "
+              "warmup_iters, iters, cs_cycles, backoff, locks, rounds, "
+              "requests");
     }
   }
   return p;
@@ -219,9 +193,11 @@ CellParams params_from_json(const sim::Json& j) {
 }  // namespace
 
 const char* to_string(Kernel k) { return enum_name(kKernelNames, k); }
+const char* to_string(BarrierKind k) { return enum_name(kKindNames, k); }
 const char* to_string(LockAlgo a) { return enum_name(kAlgoNames, a); }
-const char* to_string(BarrierStyle s) { return enum_name(kStyleNames, s); }
-const char* to_string(HierBarrier h) { return enum_name(kHierNames, h); }
+const char* to_string(sync::TicketBackoff b) {
+  return enum_name(kBackoffNames, b);
+}
 
 sim::Json spec_to_json(const SweepSpec& spec) {
   sim::Json j = sim::Json::object();
@@ -331,7 +307,11 @@ std::vector<CellResult> run_spec(const SweepSpec& spec,
   std::atomic<std::size_t> next{0};
   auto work = [&] {
     for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      const auto start = std::chrono::steady_clock::now();
       results[i] = run_cell(cfgs[i], spec.cells[i].params, records);
+      results[i].wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
     }
   };
   std::vector<std::thread> pool;
@@ -352,7 +332,15 @@ sim::Json json_document(const SweepSpec& spec,
   doc["schema_version"] = 2;
   sim::Json records = sim::Json::array();
   for (const CellResult& r : results) {
-    if (!r.record.is_null()) records.push_back(r.record);
+    if (r.record.is_null()) continue;
+    sim::Json rec = r.record;
+    if (rec.find("events") != nullptr) {
+      rec["wall_ms"] = r.wall_ms;
+      rec["events_per_sec"] =
+          r.wall_ms > 0 ? static_cast<double>(r.events) * 1000.0 / r.wall_ms
+                        : 0.0;
+    }
+    records.push_back(std::move(rec));
   }
   doc["records"] = std::move(records);
   return doc;
@@ -402,6 +390,8 @@ double metric_value(Metric m, const CellResult& r) {
     case Metric::kAux: return static_cast<double>(r.aux);
     case Metric::kPackets: return static_cast<double>(r.traffic.packets);
     case Metric::kBytes: return static_cast<double>(r.traffic.bytes);
+    case Metric::kEvents: return static_cast<double>(r.events);
+    case Metric::kWallMs: return r.wall_ms;
   }
   return 0;
 }

@@ -20,42 +20,35 @@
 
 namespace amo::bench {
 
-/// The simulation kernels a cell can run. kBarrier/kLock are the paper's
-/// main harness loops; the rest are the hand-rolled workloads of the
-/// figure/ablation benches, parameterized.
+/// The simulation kernels a cell can run: the paper's two measurement
+/// loops (barrier episodes, lock acquisitions) plus the three workloads
+/// that are neither.
 enum class Kernel : std::uint8_t {
-  kBarrier,        // run_barrier: central/tree barrier episodes
-  kLock,           // run_lock: ticket/array lock acquire loop
-  kLockAlgo,       // extension: tas/ticket/array/mcs algorithm matrix
-  kTicketBackoff,  // ticket lock with TicketBackoff policy, total cycles
+  kBarrier,        // barrier episodes, any BarrierKind; idle spinners
+  kLock,           // lock acquisitions, any LockAlgo, one or more locks
   kFig1Episode,    // the paper's Fig. 1 three-processor episode
-  kMultiLock,      // K independent AMO ticket locks homed on node 0
   kPairwiseFlags,  // producer/consumer AMO flags (sparse sharing)
-  kBarrierStyle,   // naive/optimized/dissemination/mcs-tree codings
-  kSpin,           // spin-virtualization cost: barrier + idle busy-waiters
-  kPdes,           // host-parallel scaling probe: tree barrier + wall clock
-  kHier,           // hierarchy-aware barriers: root-link traffic + cycles
   kService,        // open-loop sharded service: tail latency vs offered load
 };
 
-enum class BarrierKind : std::uint8_t { kCentral, kTree };
+/// The barrier a kBarrier cell runs. central/tree are the paper's
+/// (Tables 2-3); naive/dissemination/mcs_tree the alternative codings;
+/// flat_tree/cluster/cluster_amu the hierarchy study, whose cells report
+/// root-link traffic. flat_tree is the tree barrier as the hierarchy
+/// baseline; levels, thresholds and AMU aggregation for the cluster
+/// kinds come from the `hier.*` config knobs (set them per cell).
+enum class BarrierKind : std::uint8_t {
+  kCentral, kTree, kNaive, kDissemination, kMcsTree, kFlatTree, kCluster,
+  kClusterAmu,
+};
 
 enum class LockAlgo : std::uint8_t { kTas, kTicket, kArray, kMcs, kCna,
                                      kHmcs };
 
-/// Which barrier the kHier kernel runs. The flat fixed-fanout tree is the
-/// baseline the cluster variants are gated against; levels, thresholds,
-/// and AMU aggregation for the cluster variants come from the `hier.*`
-/// config knobs (set them per cell).
-enum class HierBarrier : std::uint8_t { kFlatTree, kCluster, kClusterAmu };
-enum class BarrierStyle : std::uint8_t {
-  kNaive, kOptimized, kDissemination, kMcsTree,
-};
-
 [[nodiscard]] const char* to_string(Kernel k);
+[[nodiscard]] const char* to_string(BarrierKind k);
 [[nodiscard]] const char* to_string(LockAlgo a);
-[[nodiscard]] const char* to_string(BarrierStyle s);
-[[nodiscard]] const char* to_string(HierBarrier h);
+[[nodiscard]] const char* to_string(sync::TicketBackoff b);
 
 /// Union of every kernel's parameters; each kernel reads its slice and
 /// ignores the rest.
@@ -64,28 +57,23 @@ struct CellParams {
   sync::Mechanism mech = sync::Mechanism::kLlSc;
   // kBarrier
   BarrierKind kind = BarrierKind::kCentral;
-  std::uint32_t fanout = 4;
+  std::uint32_t fanout = 4;  // tree and flat_tree
   int warmup_episodes = 2;
   int episodes = 8;
-  std::uint64_t max_skew = 200;
-  // kLock
-  bool array = false;
+  std::uint64_t max_skew = 200;  // also the lock loop's think time
+  // kBarrier: cpus in the barrier set; each other cpu busy-waits on a
+  // flag the set raises when done. 0 = every cpu, no flag.
+  std::uint32_t active = 0;
+  // kLock. warmup_iters == 0: no warmup and no fence, and the measured
+  // region is the whole run (to the machine's end time).
+  LockAlgo algo = LockAlgo::kTicket;
   int warmup_iters = 1;
   int iters = 6;
   sim::Cycle cs_cycles = 50;
-  // kLockAlgo / kTicketBackoff
-  LockAlgo algo = LockAlgo::kTicket;
-  sync::TicketBackoff backoff = sync::TicketBackoff::kNone;
-  // kMultiLock
-  std::uint32_t locks = 1;
+  sync::TicketBackoff backoff = sync::TicketBackoff::kNone;  // ticket only
+  std::uint32_t locks = 1;  // cpu c contends for lock c % locks
   // kPairwiseFlags
   int rounds = 10;
-  // kBarrierStyle
-  BarrierStyle style = BarrierStyle::kOptimized;
-  // kSpin: cpus in the barrier set; the rest busy-wait. 0 = all.
-  std::uint32_t active = 0;
-  // kHier: barrier variant (flat tree baseline vs cluster-hierarchical)
-  HierBarrier hier = HierBarrier::kFlatTree;
   // kService: requests per CPU (offered load comes from the
   // service.interarrival_cycles config knob, set per cell)
   std::uint64_t requests = 65536;
@@ -96,16 +84,19 @@ struct TrafficSnapshot {
   std::uint64_t bytes = 0;
 };
 
-/// What every kernel reports. Which fields are meaningful depends on the
-/// kernel; `primary` is always its headline cycles metric.
+/// What every kernel reports. Which of primary/secondary/aux are
+/// meaningful depends on the kernel; `primary` is always its headline
+/// cycles metric.
 struct CellResult {
-  double primary = 0;    // cycles per barrier / total cycles
-  double secondary = 0;  // cycles per proc / per acquire (barrier/lock)
+  double primary = 0;    // cycles per barrier / lock region cycles
+  double secondary = 0;  // per proc / per acquire; spin cells: host events
+                         // per episode; hierarchy: root links per episode
   TrafficSnapshot traffic;
-  std::uint64_t aux = 0;  // fig1: one-way messages; pairwise: update msgs
-  /// The cell's --json record: built only when asked for, and null for
-  /// the kernels that emit none (multilock, ticket_backoff,
-  /// pairwise_flags, barrier_style).
+  std::uint64_t aux = 0;  // fig1: one-way messages; pairwise: update msgs;
+                          // spin: host events in the measured episodes
+  std::uint64_t events = 0;  // host events over the whole run
+  double wall_ms = 0;        // host time of the cell (run_spec sets it)
+  /// The cell's --json record: built only when asked for.
   sim::Json record;
 };
 
@@ -132,8 +123,8 @@ struct SweepSpec {
 [[nodiscard]] CellResult run_cell(const core::SystemConfig& cfg,
                                   const CellParams& params,
                                   bool record = false);
-/// The paper's central/tree barrier and ticket/array lock loops (the
-/// kBarrier and kLock kernels).
+/// The barrier-episode and lock-acquisition loops (the kBarrier and
+/// kLock kernels).
 [[nodiscard]] CellResult run_barrier(const core::SystemConfig& cfg,
                                      const CellParams& params,
                                      bool record = false);
@@ -149,14 +140,16 @@ struct SweepSpec {
 /// Materializes every cell's config before running anything, then runs
 /// the cells across `threads` workers. Each cell owns its Machine, so
 /// results (and records, when `records` is set) are identical at any
-/// thread count; they come back in cell order.
+/// thread count; they come back in cell order, each with its wall_ms.
 [[nodiscard]] std::vector<CellResult> run_spec(const SweepSpec& spec,
                                                const core::SystemConfig& base,
                                                unsigned threads,
                                                bool records = false);
 
 /// The --json document: {bench, schema_version, records}, with the
-/// non-null records in cell order.
+/// non-null records in cell order. Records that report whole-run host
+/// `events` (the hierarchy/PDES probes) also get the cell's `wall_ms`
+/// and `events_per_sec`.
 [[nodiscard]] sim::Json json_document(const SweepSpec& spec,
                                       std::span<const CellResult> results);
 
@@ -175,7 +168,7 @@ void print_generic(const SweepSpec& spec, std::span<const CellResult> r);
 // "net.hop_cycles") of the cell's materialized config.
 
 enum class Metric : std::uint8_t { kPrimary, kSecondary, kAux, kPackets,
-                                   kBytes };
+                                   kBytes, kEvents, kWallMs };
 enum class Relative : std::uint8_t {
   kSpeedup,     // base / v
   kNormalized,  // v / base

@@ -38,12 +38,16 @@ CellParams barrier_params(Mechanism m, int episodes,
   return p;
 }
 
-CellParams lock_params(Mechanism m, bool array, int iters) {
+// warmup_iters = 0 runs the locks cold, with no fence: the ablations and
+// the algorithm matrices report the whole run's cycles.
+CellParams lock_params(Mechanism m, LockAlgo algo, int iters,
+                       int warmup_iters = 1) {
   CellParams p;
   p.kernel = Kernel::kLock;
   p.mech = m;
-  p.array = array;
+  p.algo = algo;
   p.iters = iters;
+  p.warmup_iters = warmup_iters;
   return p;
 }
 
@@ -135,13 +139,13 @@ SweepSpec build_fig6(const CliOptions& opt) {
 // ----------------------------------------------------- table4 / fig7
 // Variants in the serial run/record order: the LL/SC ticket baseline,
 // then (mechanism, ticket/array) skipping the baseline combination.
-std::vector<std::pair<Mechanism, bool>> table4_variants() {
-  std::vector<std::pair<Mechanism, bool>> variants;
-  variants.emplace_back(Mechanism::kLlSc, false);
+std::vector<std::pair<Mechanism, LockAlgo>> table4_variants() {
+  std::vector<std::pair<Mechanism, LockAlgo>> variants;
+  variants.emplace_back(Mechanism::kLlSc, LockAlgo::kTicket);
   for (Mechanism m : kTableMechs) {
-    for (bool array : {false, true}) {
-      if (m == Mechanism::kLlSc && !array) continue;
-      variants.emplace_back(m, array);
+    for (LockAlgo algo : {LockAlgo::kTicket, LockAlgo::kArray}) {
+      if (m == Mechanism::kLlSc && algo == LockAlgo::kTicket) continue;
+      variants.emplace_back(m, algo);
     }
   }
   return variants;
@@ -153,8 +157,8 @@ SweepSpec build_table4(const CliOptions& opt) {
       resolved_cpus(opt, paper_cpu_counts(4), {4, 8, 16});
   const int iters = resolved_iters(opt);
   for (std::uint32_t p : cpus) {
-    for (const auto& [m, array] : table4_variants()) {
-      s.cells.push_back(cell(p, lock_params(m, array, iters)));
+    for (const auto& [m, algo] : table4_variants()) {
+      s.cells.push_back(cell(p, lock_params(m, algo, iters)));
     }
   }
   return s;
@@ -168,9 +172,10 @@ SweepSpec build_fig7(const CliOptions& opt) {
   // Slot 0 is a dedicated LL/SC baseline run (as in the serial version),
   // then one run per plotted mechanism.
   for (std::uint32_t p : cpus) {
-    s.cells.push_back(cell(p, lock_params(Mechanism::kLlSc, false, iters)));
+    s.cells.push_back(
+        cell(p, lock_params(Mechanism::kLlSc, LockAlgo::kTicket, iters)));
     for (Mechanism m : kTableMechs) {
-      s.cells.push_back(cell(p, lock_params(m, false, iters)));
+      s.cells.push_back(cell(p, lock_params(m, LockAlgo::kTicket, iters)));
     }
   }
   return s;
@@ -186,12 +191,11 @@ SweepSpec build_amu_cache(const CliOptions& opt) {
   const int iters = resolved_iters(opt);
   for (std::uint32_t nlocks : kLockCounts) {
     for (std::uint32_t words : kCacheWords) {
-      Cell c = cell(p, {});
+      // Each lock needs TWO AMU-resident words (sequencer + now_serving).
+      Cell c = cell(p, lock_params(Mechanism::kAmo, LockAlgo::kTicket, iters,
+                                   /*warmup_iters=*/0));
       c.set.push_back({"amu.cache_words", sim::Json(words)});
-      c.params.kernel = Kernel::kMultiLock;
-      c.params.mech = Mechanism::kAmo;
       c.params.locks = nlocks;
-      c.params.iters = iters;
       s.cells.push_back(std::move(c));
     }
   }
@@ -272,11 +276,9 @@ SweepSpec build_backoff(const CliOptions& opt) {
   for (std::uint32_t p : cpus) {
     for (sync::TicketBackoff b :
          {sync::TicketBackoff::kNone, sync::TicketBackoff::kProportional}) {
-      Cell c = cell(p, {});
-      c.params.kernel = Kernel::kTicketBackoff;
-      c.params.mech = Mechanism::kMao;
+      Cell c = cell(p, lock_params(Mechanism::kMao, LockAlgo::kTicket, iters,
+                                   /*warmup_iters=*/0));
       c.params.backoff = b;
-      c.params.iters = iters;
       s.cells.push_back(std::move(c));
     }
   }
@@ -324,9 +326,10 @@ SweepSpec build_dir_pointers(const CliOptions& opt) {
 }
 
 // ----------------------------------------- ablation_barrier_styles
-const std::array<BarrierStyle, 4> kStyles = {
-    BarrierStyle::kNaive, BarrierStyle::kOptimized,
-    BarrierStyle::kDissemination, BarrierStyle::kMcsTree};
+// "central" is the optimized coding of Fig. 3(b).
+const std::array<BarrierKind, 4> kStyles = {
+    BarrierKind::kNaive, BarrierKind::kCentral, BarrierKind::kDissemination,
+    BarrierKind::kMcsTree};
 const std::array<Mechanism, 4> kStyleMechs = {
     Mechanism::kLlSc, Mechanism::kAtomic, Mechanism::kMao, Mechanism::kAmo};
 
@@ -335,14 +338,9 @@ SweepSpec build_barrier_styles(const CliOptions& opt) {
   const std::vector<std::uint32_t> cpus = resolved_cpus(opt, {16, 64});
   const int episodes = resolved_episodes(opt);
   for (std::uint32_t p : cpus) {
-    for (BarrierStyle style : kStyles) {
+    for (BarrierKind kind : kStyles) {
       for (Mechanism m : kStyleMechs) {
-        Cell c = cell(p, {});
-        c.params.kernel = Kernel::kBarrierStyle;
-        c.params.mech = m;
-        c.params.style = style;
-        c.params.episodes = episodes;
-        s.cells.push_back(std::move(c));
+        s.cells.push_back(cell(p, barrier_params(m, episodes, kind)));
       }
     }
   }
@@ -360,12 +358,8 @@ SweepSpec build_extension_locks(const CliOptions& opt) {
   for (std::uint32_t p : cpus) {
     for (LockAlgo algo : kAlgos) {
       for (Mechanism m : sync::kAllMechanisms) {
-        Cell c = cell(p, {});
-        c.params.kernel = Kernel::kLockAlgo;
-        c.params.mech = m;
-        c.params.algo = algo;
-        c.params.iters = iters;
-        s.cells.push_back(std::move(c));
+        s.cells.push_back(
+            cell(p, lock_params(m, algo, iters, /*warmup_iters=*/0)));
       }
     }
   }
@@ -387,10 +381,7 @@ SweepSpec build_microbench_spin(const CliOptions& opt) {
   }
   actives.push_back(p);
   for (std::uint32_t a : actives) {
-    Cell c = cell(p, {});
-    c.params.kernel = Kernel::kSpin;
-    c.params.mech = Mechanism::kAmo;
-    c.params.episodes = episodes;
+    Cell c = cell(p, barrier_params(Mechanism::kAmo, episodes));
     c.params.active = a;
     s.cells.push_back(std::move(c));
   }
@@ -398,7 +389,7 @@ SweepSpec build_microbench_spin(const CliOptions& opt) {
 }
 
 // --------------------------------------------------- microbench_pdes
-// Host-parallel scaling: the same tree-barrier episode workload run at
+// Host-parallel scaling: the same flat-tree-barrier episode workload run at
 // sim_threads (PDES domains) K = 1, 2, 4 for each cpu count. Simulated
 // cycles are deterministic per K; wall-clock and events/s are host
 // measurements, reported for the BENCH_pdes artifact. K = 1 is the
@@ -414,11 +405,8 @@ SweepSpec build_microbench_pdes(const CliOptions& opt) {
   if (opt.sim_threads != 0) threads = {opt.sim_threads};
   for (std::uint32_t p : cpus) {
     for (std::uint32_t k : threads) {
-      Cell c = cell(p, {});
-      c.params.kernel = Kernel::kPdes;
-      c.params.mech = Mechanism::kAmo;
-      c.params.kind = BarrierKind::kTree;
-      c.params.episodes = episodes;
+      Cell c = cell(p, barrier_params(Mechanism::kAmo, episodes,
+                                      BarrierKind::kFlatTree));
       c.set.push_back({"sim_threads", sim::Json(k)});
       s.cells.push_back(std::move(c));
     }
@@ -435,21 +423,16 @@ SweepSpec build_microbench_pdes(const CliOptions& opt) {
 // fetch-adds. The largest cpu count also runs the aggregated variant at
 // sim_threads = 2 and 4 for the BENCH_hier scaling curve (skipped when
 // --sim-threads already pins the whole sweep to one K).
-const std::array<HierBarrier, 3> kHierVariants = {
-    HierBarrier::kFlatTree, HierBarrier::kCluster, HierBarrier::kClusterAmu};
+const std::array<BarrierKind, 3> kHierVariants = {
+    BarrierKind::kFlatTree, BarrierKind::kCluster, BarrierKind::kClusterAmu};
 
-CellParams hier_params(HierBarrier variant, int episodes) {
-  CellParams p;
-  p.kernel = Kernel::kHier;
-  p.mech = Mechanism::kAmo;
-  p.hier = variant;
-  p.episodes = episodes;
-  return p;
+CellParams hier_params(BarrierKind kind, int episodes) {
+  return barrier_params(Mechanism::kAmo, episodes, kind);
 }
 
 Cell hier_cell(std::uint32_t cpus, std::uint32_t levels, CellParams params) {
   Cell c = cell(cpus, params);
-  if (params.hier != HierBarrier::kFlatTree) {
+  if (params.kind != BarrierKind::kFlatTree) {
     c.set.push_back({"hier.levels", sim::Json(levels)});
   }
   return c;
@@ -465,13 +448,13 @@ SweepSpec build_microbench_hier(const CliOptions& opt) {
   std::vector<std::uint32_t> scale_ks;
   if (opt.sim_threads == 0) scale_ks = {2, 4};
   for (std::uint32_t p : cpus) {
-    for (HierBarrier v : kHierVariants) {
+    for (BarrierKind v : kHierVariants) {
       s.cells.push_back(hier_cell(p, levels, hier_params(v, episodes)));
     }
   }
   for (std::uint32_t k : scale_ks) {
     Cell c = hier_cell(cpus.back(), levels,
-                       hier_params(HierBarrier::kClusterAmu, episodes));
+                       hier_params(BarrierKind::kClusterAmu, episodes));
     c.set.push_back({"sim_threads", sim::Json(k)});
     s.cells.push_back(std::move(c));
   }
@@ -502,7 +485,7 @@ SweepSpec build_hier_depth(const CliOptions& opt) {
   const int episodes = resolved_episodes(opt, 4);
   for (std::uint32_t radix : kHierRadixes) {
     {
-      Cell c = cell(p, hier_params(HierBarrier::kFlatTree, episodes));
+      Cell c = cell(p, hier_params(BarrierKind::kFlatTree, episodes));
       c.set.push_back({"net.radix", sim::Json(radix)});
       s.cells.push_back(std::move(c));
     }
@@ -512,7 +495,7 @@ SweepSpec build_hier_depth(const CliOptions& opt) {
     const std::uint32_t height =
         std::max(1u, tree_height((p + 1) / 2, radix));
     for (std::uint32_t depth : kHierDepths) {
-      Cell c = cell(p, hier_params(HierBarrier::kClusterAmu, episodes));
+      Cell c = cell(p, hier_params(BarrierKind::kClusterAmu, episodes));
       c.set.push_back({"net.radix", sim::Json(radix)});
       c.set.push_back({"hier.levels", sim::Json(std::min(depth, height))});
       s.cells.push_back(std::move(c));
@@ -536,12 +519,8 @@ SweepSpec build_hier_locks(const CliOptions& opt) {
   for (std::uint32_t p : cpus) {
     for (LockAlgo algo : kHierLockAlgos) {
       for (Mechanism m : sync::kAllMechanisms) {
-        Cell c = cell(p, {});
-        c.params.kernel = Kernel::kLockAlgo;
-        c.params.mech = m;
-        c.params.algo = algo;
-        c.params.iters = iters;
-        s.cells.push_back(std::move(c));
+        s.cells.push_back(
+            cell(p, lock_params(m, algo, iters, /*warmup_iters=*/0)));
       }
     }
   }
@@ -679,10 +658,10 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
            "ticket/array lock speedups over LL/SC ticket (Table 4)",
            build_table4,
            {{.title = "Table 4: lock cycles (measured region)",
-             .rows = cpus, .cols = {"mech", "array"}},
+             .rows = cpus, .cols = {"mech", "algo"}},
             {.title = "Table 4: lock speedups over the LL/SC ticket lock",
-             .rows = cpus, .cols = {"mech", "array"}, .precision = 2,
-             .relative_to = {{"mech", "LL/SC"}, {"array", "false"}}}},
+             .rows = cpus, .cols = {"mech", "algo"}, .precision = 2,
+             .relative_to = {{"mech", "LL/SC"}, {"algo", "ticket"}}}},
            "paper: 4: AMO 1.95/1.31   64: LLSC.a 1.42, AMO 4.90/5.45"
            "   256: AMO 10.36/10.05"});
   reg.add({"fig7",
@@ -792,8 +771,8 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
            "naive/optimized/dissemination/mcs-tree codings",
            build_barrier_styles,
            {{.title = "Ablation: barrier codings (cycles per episode)",
-             .rows = {"num_cpus", "style"}, .cols = mech}},
-           "expected shape: optimized beats naive for conventional "
+             .rows = {"num_cpus", "kind"}, .cols = mech}},
+           "expected shape: central (the optimized coding) beats naive for conventional "
            "mechanisms (the Fig. 3(b) trade); for AMO the two are within "
            "noise — the naive coding is already right."});
   const std::vector<std::string> algos = {"num_cpus", "algo"};
@@ -826,18 +805,18 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
                       "cycles per episode",
              .rows = cpus, .cols = domains},
             {.title = "Microbench: conservative PDES, host events",
-             .rows = cpus, .cols = domains, .metric = M::kAux},
+             .rows = cpus, .cols = domains, .metric = M::kEvents},
             {.title = "Microbench: conservative PDES, wall ms",
-             .rows = cpus, .cols = domains, .metric = M::kSecondary,
+             .rows = cpus, .cols = domains, .metric = M::kWallMs,
              .precision = 1},
             {.title = "Microbench: conservative PDES, wall-clock speedup "
                       "over sim_threads=1",
-             .rows = cpus, .cols = domains, .metric = M::kSecondary,
+             .rows = cpus, .cols = domains, .metric = M::kWallMs,
              .precision = 2, .relative_to = {{"sim_threads", "1"}}}},
            "expected shape: cycles/episode stable within a column across "
            "reruns (deterministic per K); wall-clock speedup approaches the "
            "domain count on a host with that many cores."});
-  const std::vector<std::string> hier = {"hier", "sim_threads"};
+  const std::vector<std::string> hier = {"kind", "sim_threads"};
   reg.add({"microbench_hier",
            "cluster-hierarchical barriers: root-link traffic vs flat tree",
            build_microbench_hier,
@@ -851,13 +830,13 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
             {.title = "Microbench: hierarchy-aware AMO barriers, root-link "
                       "cut vs the flat tree",
              .rows = cpus, .cols = hier, .metric = M::kSecondary,
-             .precision = 2, .relative_to = {{"hier", "flat_tree"}}}},
+             .precision = 2, .relative_to = {{"kind", "flat_tree"}}}},
            "expected shape: both cluster variants cut root-link messages; "
            "AMU aggregation cuts them to O(clusters) — at 256+ CPUs >= 2x "
            "fewer than the flat tree, at lower cycles/episode (the CI "
            "gate)."});
   const std::vector<std::string> radix = {"num_cpus", "net.radix"};
-  const std::vector<std::string> depth = {"hier", "hier.levels"};
+  const std::vector<std::string> depth = {"kind", "hier.levels"};
   reg.add({"ablation_hier_depth",
            "router radix x folded hierarchy depth for aggregated barriers",
            build_hier_depth,

@@ -22,15 +22,13 @@ const char* to_string(AmoOpcode op) {
 }
 
 Amu::Amu(sim::Engine& engine, sim::NodeId node, coh::Directory& dir,
-         mem::Backing& backing, mem::Dram& dram, const AmuConfig& config,
-         sim::Tracer* tracer)
+         mem::Backing& backing, mem::Dram& dram, const AmuConfig& config)
     : engine_(engine),
       node_(node),
       dir_(dir),
       backing_(backing),
       dram_(dram),
-      config_(config),
-      tracer_(tracer) {
+      config_(config) {
   assert(config_.cache_words >= 1);
   entries_.resize(config_.cache_words);
 }
@@ -137,13 +135,6 @@ void Amu::execute(AmoRequest& req, Entry& entry) {
       dir_.word_put(req.addr, result);
       entry.dirty = false;  // memory + sharers now current
     }
-  }
-  if (tracer_ != nullptr && tracer_->enabled(sim::TraceCat::kAmu)) {
-    tracer_->log(engine_.now(), sim::TraceCat::kAmu,
-                 "amu%u: %s @%llx %llu -> %llu", node_, to_string(req.op),
-                 static_cast<unsigned long long>(req.addr),
-                 static_cast<unsigned long long>(old),
-                 static_cast<unsigned long long>(result));
   }
   if (!agg_routes_.empty() && req.coherent && result != old) {
     if (AggRoute* route = find_agg_route(req.addr);

@@ -8,7 +8,7 @@ namespace amo::coh {
 
 Directory::Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
                      sim::NodeId node, mem::Backing& backing, mem::Dram& dram,
-                     const DirConfig& config, sim::Tracer* tracer)
+                     const DirConfig& config)
     : engine_(engine),
       wiring_(wiring),
       agents_(agents),
@@ -16,8 +16,7 @@ Directory::Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
       backing_(backing),
       dram_(dram),
       config_(config),
-      sizes_{backing.line_bytes()},
-      tracer_(tracer) {
+      sizes_{backing.line_bytes()} {
   assert(backing.words_per_line() <= mem::LineBuf::kMaxWords);
 }
 

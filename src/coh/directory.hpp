@@ -23,7 +23,6 @@
 #include "sim/future.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/stats_registry.hpp"
-#include "sim/trace.hpp"
 
 namespace amo::coh {
 
@@ -91,7 +90,7 @@ class Directory {
 
   Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
             sim::NodeId node, mem::Backing& backing, mem::Dram& dram,
-            const DirConfig& config, sim::Tracer* tracer = nullptr);
+            const DirConfig& config);
 
   // --- message entry points (arrival time; occupancy applied inside) ---
   void on_gets(sim::CpuId r, sim::Addr block);
@@ -287,7 +286,6 @@ class Directory {
   mem::Dram& dram_;
   DirConfig config_;
   MsgSizes sizes_;
-  sim::Tracer* tracer_;
   sim::Cycle busy_until_ = 0;  // occupancy pipeline
 
   // Entries are dominated by the kMaxCpus-wide sharer bitset (~600 bytes

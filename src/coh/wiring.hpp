@@ -150,10 +150,6 @@ class Wiring {
     }
     return merged_;
   }
-  /// Per-domain shard (stats registration).
-  [[nodiscard]] const LocalStats& local_shard(std::uint32_t d) const {
-    return local_[d];
-  }
   [[nodiscard]] sim::Cycle local_cycles() const { return local_cycles_; }
 
  private:

@@ -13,9 +13,6 @@ Machine::Machine(const SystemConfig& config)
       domains_(config.sim_threads, config.num_nodes()),
       rng_(config.seed) {
   const std::uint32_t nodes = config_.num_nodes();
-  // Tracing interleaves per-domain logs nondeterministically; keep the
-  // tracer wired only for serial runs.
-  sim::Tracer* const tr = domains_.count() == 1 ? &tracer_ : nullptr;
   backings_.reserve(domains_.count());
   for (std::uint32_t d = 0; d < domains_.count(); ++d) {
     backings_.emplace_back(config_.line_bytes());
@@ -43,7 +40,7 @@ Machine::Machine(const SystemConfig& config)
   net_cfg.num_nodes = nodes;
   net_cfg.histograms = hists;
   // A single-node machine still needs a valid (degenerate) topology.
-  network_ = std::make_unique<net::Network>(domains_, net_cfg, tr);
+  network_ = std::make_unique<net::Network>(domains_, net_cfg);
   wiring_ = std::make_unique<coh::Wiring>(domains_, *network_,
                                           config_.cpus_per_node,
                                           config_.local_cycles,
@@ -63,7 +60,7 @@ Machine::Machine(const SystemConfig& config)
     drams_.push_back(std::make_unique<mem::Dram>(ne, config_.dram));
     dirs_.push_back(std::make_unique<coh::Directory>(
         ne, *wiring_, agents_, n, backings_[domains_.domain_of(n)],
-        *drams_[n], config_.dir, tr));
+        *drams_[n], config_.dir));
     agents_.dirs[n] = dirs_[n].get();
   }
 
@@ -75,7 +72,7 @@ Machine::Machine(const SystemConfig& config)
   for (sim::CpuId c = 0; c < config_.num_cpus; ++c) {
     sim::Engine& ce = domains_.engine_for_node(c / config_.cpus_per_node);
     cores_.push_back(std::make_unique<cpu::Core>(
-        ce, *wiring_, agents_, devices_, c, core_cfg, tr));
+        ce, *wiring_, agents_, devices_, c, core_cfg));
     agents_.caches[c] = &cores_[c]->cache();
     ctxs_.push_back(std::make_unique<ThreadCtx>(
         *cores_[c], ce, rng_.split(), config_.spin,
@@ -89,7 +86,7 @@ Machine::Machine(const SystemConfig& config)
     sim::Engine& ne = domains_.engine_for_node(n);
     amus_.push_back(std::make_unique<amu::Amu>(
         ne, n, *dirs_[n], backings_[domains_.domain_of(n)], *drams_[n],
-        config_.amu, tr));
+        config_.amu));
     agents_.amus[n] = amus_[n].get();
     devices_.amus[n] = amus_[n].get();
     // Handlers run on the node's first core (the paper's home-processor
@@ -107,35 +104,25 @@ Machine::Machine(const SystemConfig& config)
 
   // Index every subsystem's counters under hierarchical names. The
   // registry only holds pointers; all pointees are owned by this Machine.
-  // Registration order is the snapshot order, so the serial (K == 1)
-  // branch must register in exactly the pre-PDES sequence.
-  if (domains_.count() == 1) {
-    domains_.engine(0).register_stats(registry_, "engine");
-  } else {
-    // Merged engine counters, same names/positions as the serial path.
-    registry_.add_fn("engine.events_executed",
-                     [this] { return domains_.total_events_executed(); });
-    registry_.add_fn("engine.now", [this] { return domains_.max_now(); });
-    registry_.add_fn("engine.queue.pushed",
-                     [this] { return domains_.total_events_scheduled(); });
-    registry_.add_fn("engine.queue.pending", [this] {
-      std::uint64_t v = 0;
-      for (std::uint32_t d = 0; d < domains_.count(); ++d) {
-        v += domains_.engine(d).pending_events();
-      }
-      return v;
-    });
-  }
+  // Registration order is the snapshot order. Engine and fabric counters
+  // merge the domains' shards at snapshot time, at every K.
+  registry_.add_fn("engine.events_executed",
+                   [this] { return domains_.total_events_executed(); });
+  registry_.add_fn("engine.now", [this] { return domains_.max_now(); });
+  registry_.add_fn("engine.queue.pushed",
+                   [this] { return domains_.total_events_scheduled(); });
+  registry_.add_fn("engine.queue.pending", [this] {
+    std::uint64_t v = 0;
+    for (std::uint32_t d = 0; d < domains_.count(); ++d) {
+      v += domains_.engine(d).pending_events();
+    }
+    return v;
+  });
   network_->register_stats(registry_, "net");
-  if (domains_.count() == 1) {
-    registry_.add_counter("local.messages", &wiring_->local_shard(0).messages);
-    registry_.add_counter("local.bytes", &wiring_->local_shard(0).bytes);
-  } else {
-    registry_.add_fn("local.messages",
-                     [this] { return wiring_->local_stats().messages; });
-    registry_.add_fn("local.bytes",
-                     [this] { return wiring_->local_stats().bytes; });
-  }
+  registry_.add_fn("local.messages",
+                   [this] { return wiring_->local_stats().messages; });
+  registry_.add_fn("local.bytes",
+                   [this] { return wiring_->local_stats().bytes; });
   for (sim::NodeId n = 0; n < nodes; ++n) {
     const std::string prefix = "node" + std::to_string(n);
     dirs_[n]->register_stats(registry_, prefix + ".dir");

@@ -40,7 +40,6 @@
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats_registry.hpp"
-#include "sim/trace.hpp"
 
 namespace amo::core {
 
@@ -76,7 +75,6 @@ class Machine {
   [[nodiscard]] sim::Engine& engine() { return domains_.engine(0); }
   /// The domain decomposition (sim_threads engines over the home nodes).
   [[nodiscard]] sim::Domains& domains() { return domains_; }
-  [[nodiscard]] sim::Tracer& tracer() { return tracer_; }
   [[nodiscard]] net::Network& network() { return *network_; }
   [[nodiscard]] GAlloc& galloc() { return *galloc_; }
   /// Backing-store shard holding `addr` (shards follow the domain
@@ -128,7 +126,6 @@ class Machine {
  private:
   SystemConfig config_;
   sim::Domains domains_;
-  sim::Tracer tracer_;
   // One backing shard per domain: addresses partition by home node, so
   // each shard's lazily-materialized line map is private to its domain
   // thread.

@@ -8,8 +8,7 @@
 namespace amo::cpu {
 
 Core::Core(sim::Engine& engine, coh::Wiring& wiring, coh::Agents& agents,
-           NodeDevices& devices, sim::CpuId cpu, const CoreConfig& config,
-           sim::Tracer* tracer)
+           NodeDevices& devices, sim::CpuId cpu, const CoreConfig& config)
     : engine_(engine),
       wiring_(wiring),
       agents_(agents),
@@ -18,8 +17,7 @@ Core::Core(sim::Engine& engine, coh::Wiring& wiring, coh::Agents& agents,
       node_(wiring.node_of(cpu)),
       config_(config),
       sizes_{config.cache.l2.line_bytes},
-      tracer_(tracer),
-      cache_(engine, wiring, agents, cpu, config.cache, tracer) {}
+      cache_(engine, wiring, agents, cpu, config.cache) {}
 
 sim::Task<void> Core::compute(sim::Cycle cycles) {
   // Serial CPU-time reservation: later callers queue behind earlier ones.

@@ -22,7 +22,6 @@
 #include "coh/wiring.hpp"
 #include "cpu/am_server.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 
 namespace amo::cpu {
 
@@ -51,8 +50,7 @@ struct NodeDevices {
 class Core {
  public:
   Core(sim::Engine& engine, coh::Wiring& wiring, coh::Agents& agents,
-       NodeDevices& devices, sim::CpuId cpu, const CoreConfig& config,
-       sim::Tracer* tracer = nullptr);
+       NodeDevices& devices, sim::CpuId cpu, const CoreConfig& config);
 
   [[nodiscard]] sim::CpuId cpu() const { return cpu_; }
   [[nodiscard]] sim::NodeId node() const { return node_; }
@@ -109,7 +107,6 @@ class Core {
   sim::NodeId node_;
   CoreConfig config_;
   coh::MsgSizes sizes_;
-  sim::Tracer* tracer_;
   coh::CacheCtrl cache_;
   sim::Cycle cpu_busy_until_ = 0;
   std::uint64_t am_seq_ = 0;

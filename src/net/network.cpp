@@ -66,27 +66,8 @@ std::vector<sim::Cycle> seeded_latencies(const NetConfig& config,
 
 void Network::register_stats(sim::StatsRegistry& reg,
                              const std::string& prefix) const {
-  if (domains_.count() == 1) {
-    // Live pointers into the single shard: identical registration (and
-    // snapshot bytes) to the pre-PDES fabric.
-    const NetStats& s = shards_[0];
-    reg.add_counter(prefix + ".packets", &s.packets);
-    reg.add_counter(prefix + ".bytes", &s.bytes);
-    reg.add_counter(prefix + ".hops", &s.hops);
-    reg.add_accum(prefix + ".latency", &s.latency);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(MsgClass::kCount);
-         ++i) {
-      const std::string cls = to_string(static_cast<MsgClass>(i));
-      reg.add_counter(prefix + ".packets_by_class." + cls,
-                      &s.packets_by_class[i]);
-      reg.add_counter(prefix + ".bytes_by_class." + cls,
-                      &s.bytes_by_class[i]);
-    }
-    register_hist_stats(reg, prefix);
-    return;
-  }
-  // Multi-domain: sum the shards at snapshot time (ascending domain
-  // order, so the merge — including the latency Accum — is deterministic).
+  // Sum the shards at snapshot time (ascending domain order, so the
+  // merge — including the latency Accum — is deterministic).
   auto sum = [this](std::uint64_t NetStats::* m) {
     return [this, m]() -> std::uint64_t {
       std::uint64_t v = 0;
@@ -137,12 +118,10 @@ void Network::register_hist_stats(sim::StatsRegistry& reg,
   }
 }
 
-Network::Network(sim::Domains& domains, const NetConfig& config,
-                 sim::Tracer* tracer)
+Network::Network(sim::Domains& domains, const NetConfig& config)
     : domains_(domains),
       config_(config),
       topo_(config.num_nodes, config.radix),
-      tracer_(tracer),
       link_busy_until_(
           static_cast<std::size_t>(domains.count()) * topo_.num_links(), 0),
       charged_gen_(
@@ -158,13 +137,11 @@ Network::Network(sim::Domains& domains, const NetConfig& config,
   }
 }
 
-Network::Network(sim::Engine& engine, const NetConfig& config,
-                 sim::Tracer* tracer)
+Network::Network(sim::Engine& engine, const NetConfig& config)
     : owned_domains_(std::make_unique<sim::Domains>(engine, config.num_nodes)),
       domains_(*owned_domains_),
       config_(config),
       topo_(config.num_nodes, config.radix),
-      tracer_(tracer),
       link_busy_until_(topo_.num_links(), 0),
       charged_gen_(topo_.num_links(), 0),
       multicast_gen_(1, 0),
@@ -251,12 +228,6 @@ void Network::send(Packet p) {
   assert(arrival >= now && "delivery scheduled before injection");
   const sim::Cycle latency = arrival - now;
   account(d, p.cls, p.size_bytes, latency, walk.hop_count());
-  if (tracer_ && tracer_->enabled(sim::TraceCat::kNet) &&
-      domains_.count() == 1) {
-    tracer_->log(now, sim::TraceCat::kNet, "net: %u -> %u %s %uB lat=%llu",
-                 p.src, p.dst, to_string(p.cls), p.size_bytes,
-                 static_cast<unsigned long long>(latency));
-  }
   // The delivery closure moves straight into the event-queue slot (or,
   // cross-domain, into the mailbox envelope): no wrapper lambda, no
   // type-erasure re-boxing, zero heap for captures that fit the InlineFn

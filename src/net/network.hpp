@@ -38,7 +38,6 @@
 #include "sim/inline_fn.hpp"
 #include "sim/stats.hpp"
 #include "sim/stats_registry.hpp"
-#include "sim/trace.hpp"
 
 namespace amo::net {
 
@@ -92,13 +91,11 @@ class Network {
  public:
   /// Fabric over a domain decomposition: per-domain link state and stats
   /// shards, cross-domain delivery through the Domains mailboxes.
-  Network(sim::Domains& domains, const NetConfig& config,
-          sim::Tracer* tracer = nullptr);
+  Network(sim::Domains& domains, const NetConfig& config);
 
   /// Serial convenience ctor (unit tests, microbenches): wraps `engine`
   /// in an internal single-domain view.
-  Network(sim::Engine& engine, const NetConfig& config,
-          sim::Tracer* tracer = nullptr);
+  Network(sim::Engine& engine, const NetConfig& config);
 
   /// Sends one packet; `p.on_deliver` runs at the destination's arrival
   /// time. Precondition: p.src != p.dst (local traffic bypasses the net).
@@ -176,7 +173,6 @@ class Network {
   sim::Domains& domains_;
   NetConfig config_;
   Topology topo_;
-  sim::Tracer* tracer_;
   // Per-domain shards, laid out [domain * num_links + link] for the link
   // arrays. Only the owning domain thread touches its shard.
   std::vector<sim::Cycle> link_busy_until_;

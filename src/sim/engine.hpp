@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/stats_registry.hpp"
+#include "sim/stats.hpp"
 #include "sim/types.hpp"
 
 namespace amo::sim {
@@ -108,10 +108,6 @@ class Engine {
   [[nodiscard]] std::uint64_t real_events_executed() const {
     return executed_;
   }
-
-  /// Registers the engine's counters (and the queue's, under
-  /// `prefix + ".queue"`) into a stats registry.
-  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   /// Points event-dispatch-delay recording at `h` (cycles between an
   /// event's scheduling and its execution time, one sample per

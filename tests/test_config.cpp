@@ -162,7 +162,7 @@ TEST(SweepSpecJson, RoundTrips) {
       {"set": {"num_cpus": 4},
        "params": {"kernel": "barrier", "mech": "LL/SC", "episodes": 2}},
       {"set": {"num_cpus": 8, "net.hop_cycles": 100},
-       "params": {"kernel": "lock", "mech": "AMO", "array": true}}
+       "params": {"kernel": "lock", "mech": "AMO", "algo": "array"}}
     ]
   })";
   const bench::SweepSpec spec = bench::spec_from_json(sim::Json::parse(text));
@@ -172,7 +172,7 @@ TEST(SweepSpecJson, RoundTrips) {
   EXPECT_EQ(spec.cells[0].params.kernel, bench::Kernel::kBarrier);
   EXPECT_EQ(spec.cells[0].params.episodes, 2);
   EXPECT_EQ(spec.cells[1].params.mech, sync::Mechanism::kAmo);
-  EXPECT_TRUE(spec.cells[1].params.array);
+  EXPECT_EQ(spec.cells[1].params.algo, bench::LockAlgo::kArray);
   ASSERT_EQ(spec.cells[1].set.size(), 2u);
   EXPECT_EQ(spec.cells[1].set[1].key, "net.hop_cycles");
 
@@ -225,7 +225,7 @@ TEST(SweepSpecJson, BadEnumListsCandidates) {
   } catch (const std::exception& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("params.kernel"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("barrier_style"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("pairwise_flags"), std::string::npos) << msg;
   }
   try {
     (void)bench::spec_from_json(sim::Json::parse(
@@ -235,6 +235,18 @@ TEST(SweepSpecJson, BadEnumListsCandidates) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("params.mech"), std::string::npos) << msg;
     EXPECT_NE(msg.find("LL/SC"), std::string::npos) << msg;
+  }
+}
+
+TEST(SweepSpecJson, ZeroLocksRejected) {
+  try {
+    (void)bench::spec_from_json(sim::Json::parse(
+        R"({"cells": [{"params": {"kernel": "lock", "mech": "AMO",
+                                  "locks": 0}}]})"));
+    FAIL() << "expected error";
+  } catch (const std::exception& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("params.locks"), std::string::npos) << msg;
   }
 }
 

@@ -215,6 +215,27 @@ TEST(Runner, LockResultIsConsistent) {
   EXPECT_DOUBLE_EQ(r.secondary, r.primary / (8.0 * 3.0));  // per acquire
 }
 
+// Under PDES each domain keeps its own clock, and domain 0's can stop
+// before another domain's last finisher. A lock cell without warmup
+// reports the machine's end time: the latest domain clock, which bounds
+// every cpu's last acquisition (registered as engine.now).
+TEST(Runner, LockTotalCoversEveryCpuUnderPdes) {
+  core::SystemConfig cfg;
+  cfg.num_cpus = 16;
+  cfg.sim_threads = 2;
+  CellParams params;
+  params.kernel = Kernel::kLock;
+  params.mech = sync::Mechanism::kAtomic;
+  params.algo = LockAlgo::kMcs;
+  params.warmup_iters = 0;
+  params.iters = 5;
+  const CellResult r = run_cell(cfg, params, /*record=*/true);
+  const sim::Json* end = r.record.at("registry").find_path("engine.now");
+  ASSERT_NE(end, nullptr);
+  EXPECT_EQ(r.primary, static_cast<double>(end->as_uint()));
+  EXPECT_EQ(r.record.at("total_cycles").as_double(), r.primary);
+}
+
 // Records are built only on request: a plain run carries none.
 TEST(Reporter, InactiveWithoutJsonPath) {
   core::SystemConfig cfg;

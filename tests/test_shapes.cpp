@@ -89,7 +89,7 @@ TEST(Shapes, ArrayLockCrossover) {
     cfg.num_cpus = cpus;
     CellParams params;
     params.mech = Mechanism::kLlSc;
-    params.array = array;
+    params.algo = array ? bench::LockAlgo::kArray : bench::LockAlgo::kTicket;
     params.iters = 4;
     return bench::run_lock(cfg, params).primary;
   };
@@ -127,7 +127,6 @@ bench::CellResult spin_cell_at(std::uint32_t cpus, std::uint32_t active) {
   core::SystemConfig cfg;
   cfg.num_cpus = cpus;
   bench::CellParams p;
-  p.kernel = bench::Kernel::kSpin;
   p.mech = Mechanism::kAmo;
   p.episodes = 4;
   p.active = active;
@@ -169,6 +168,22 @@ TEST(Shapes, SpinQuiesceEventsScaleWithActiveCores) {
   const std::uint64_t small = spin_cell_at(64, 4).aux;
   const std::uint64_t large = spin_cell_at(64, 32).aux;
   EXPECT_LT(small * 2, large);
+}
+
+TEST(Shapes, SpinEventsCoverTheWholeRunUnderPdes) {
+  // Under PDES a mid-run read of the event counters would race other
+  // domains, so the measured-episode event count falls back to the whole
+  // run, the same way the traffic window does.
+  core::SystemConfig cfg;
+  cfg.num_cpus = 16;
+  cfg.sim_threads = 2;
+  bench::CellParams p;
+  p.mech = Mechanism::kAmo;
+  p.episodes = 4;
+  p.active = 4;
+  const bench::CellResult r = bench::run_cell(cfg, p);
+  EXPECT_GT(r.events, 0u);
+  EXPECT_EQ(r.aux, r.events);
 }
 
 TEST(Shapes, AmoAdvantageGrowsWithHopLatency) {
