@@ -169,11 +169,7 @@ SweepSpec build_fig7(const CliOptions& opt) {
   const std::vector<std::uint32_t> cpus =
       resolved_cpus(opt, {128, 256}, {32});
   const int iters = resolved_iters(opt);
-  // Slot 0 is a dedicated LL/SC baseline run (as in the serial version),
-  // then one run per plotted mechanism.
   for (std::uint32_t p : cpus) {
-    s.cells.push_back(
-        cell(p, lock_params(Mechanism::kLlSc, LockAlgo::kTicket, iters)));
     for (Mechanism m : kTableMechs) {
       s.cells.push_back(cell(p, lock_params(m, LockAlgo::kTicket, iters)));
     }

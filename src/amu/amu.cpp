@@ -114,9 +114,6 @@ void Amu::execute(AmoRequest& req, Entry& entry) {
   const std::uint64_t result = apply(req.op, old, req.operand, req.operand2);
   entry.value = result;
   entry.dirty = true;
-  // Spin-quiescence hook: parked word-watchers (MAO spinners) wake on the
-  // op's result even when the put policy keeps the value AMU-resident.
-  if (result != old) dir_.watch_ping(req.addr, result);
 
   if (req.coherent) {
     // Delayed put when a test value is supplied; eager otherwise. Silent

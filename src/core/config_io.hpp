@@ -64,9 +64,6 @@ void visit_config_fields(Config& c, Visitor&& v) {
   v("am_server.invoke_cycles", c.am_server.invoke_cycles);
   v("am_server.handler_cycles", c.am_server.handler_cycles);
   v("am_timeout_cycles", c.am_timeout_cycles);
-  v("spin.uncached_watch", c.spin.uncached_watch);
-  v("spin.watch_repoll_cycles", c.spin.watch_repoll_cycles);
-  v("spin.llsc_watch_after", c.spin.llsc_watch_after);
   v("hier.levels", c.hier.levels);
   v("hier.cna_threshold", c.hier.cna_threshold);
   v("hier.hmcs_threshold", c.hier.hmcs_threshold);

@@ -17,13 +17,9 @@ Machine::Machine(const SystemConfig& config)
   for (std::uint32_t d = 0; d < domains_.count(); ++d) {
     backings_.emplace_back(config_.line_bytes());
   }
-  // The directory accepts word-watch registrations only when uncached or
-  // LL/SC spins park at the home node; inert by default.
-  config_.dir.word_watch = config_.spin.uncached_watch ||
-                           config_.spin.llsc_watch_after != 0;
-  // One observability knob fans out to every subsystem's derived flag
-  // (same pattern as the watch above): default-off keeps recording
-  // branches cold and registry dumps byte-identical.
+  // One observability knob fans out to every subsystem's derived flag:
+  // default-off keeps recording branches cold and registry dumps
+  // byte-identical.
   const bool hists = config_.stats.histograms;
   config_.cache.histograms = hists;
   config_.dir.histograms = hists;
@@ -75,7 +71,7 @@ Machine::Machine(const SystemConfig& config)
         ce, *wiring_, agents_, devices_, c, core_cfg));
     agents_.caches[c] = &cores_[c]->cache();
     ctxs_.push_back(std::make_unique<ThreadCtx>(
-        *cores_[c], ce, rng_.split(), config_.spin,
+        *cores_[c], ce, rng_.split(),
         hists ? &sync_hists_[domains_.domain_of(c / config_.cpus_per_node)]
               : nullptr));
   }
@@ -133,19 +129,13 @@ Machine::Machine(const SystemConfig& config)
     cores_[c]->cache().register_stats(registry_,
                                       "cpu" + std::to_string(c) + ".cache");
   }
-  // Spin counters are machine-wide sums: per-cpu entries would add 3·P
+  // The spin counter is a machine-wide sum: per-cpu entries would add P
   // string-keyed registrations to every Machine build.
-  const auto add_spin = [this](const char* name,
-                               std::uint64_t SpinStats::*field) {
-    registry_.add_fn(name, [this, field] {
-      std::uint64_t v = 0;
-      for (const auto& ctx : ctxs_) v += ctx->spin_stats().*field;
-      return v;
-    });
-  };
-  add_spin("spin.parked_wakes", &SpinStats::parked_wakes);
-  add_spin("spin.elided_polls", &SpinStats::elided_polls);
-  add_spin("spin.watch_waits", &SpinStats::watch_waits);
+  registry_.add_fn("spin.parked_wakes", [this] {
+    std::uint64_t v = 0;
+    for (const auto& ctx : ctxs_) v += ctx->spin_stats().parked_wakes;
+    return v;
+  });
   if (hists) {
     // Latency histograms, all conditional: default-mode dumps keep their
     // exact bytes, and every merge walks shards in ascending domain

@@ -11,7 +11,6 @@
 #include "coh/directory.hpp"
 #include "core/hier_config.hpp"
 #include "core/service_config.hpp"
-#include "core/spin_config.hpp"
 #include "core/stats_config.hpp"
 #include "cpu/am_server.hpp"
 #include "mem/dram.hpp"
@@ -31,7 +30,6 @@ struct SystemConfig {
   amu::AmuConfig amu;           // AMU cache size, op latency, put policy
   cpu::AmServerConfig am_server;
   sim::Cycle am_timeout_cycles = 20000;
-  SpinConfig spin;        // spin-wait virtualization / quiescence knobs
   HierConfig hier;        // hierarchy-aware synchronization knobs
   ServiceConfig service;  // sharded-service workload knobs
   StatsConfig stats;      // observability (latency histograms)

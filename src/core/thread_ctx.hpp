@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/spin_config.hpp"
 #include "core/stats_config.hpp"
 #include "cpu/core.hpp"
 #include "sim/rng.hpp"
@@ -17,24 +16,20 @@
 
 namespace amo::core {
 
-/// Per-thread spin-virtualization counters. Machine sums them over all
-/// threads into the `spin.*` registry entries.
+/// Per-thread spin counters. Machine sums `parked_wakes` over all threads
+/// into the `spin.parked_wakes` registry entry.
 struct SpinStats {
-  std::uint64_t parked_wakes = 0;   // cached-spin event-driven wake-ups
-  std::uint64_t elided_polls = 0;   // uncached polls a word watch elided
-  std::uint64_t watch_waits = 0;    // uncached word-watch registrations
+  std::uint64_t parked_wakes = 0;  // cached-spin event-driven wake-ups
+  // Always 0: nothing elides uncached polls any more. Kept only because
+  // perfbench/driver/cells.cpp reads it into `cpu.spin.elided_polls`.
+  std::uint64_t elided_polls = 0;
 };
 
 class ThreadCtx {
  public:
   ThreadCtx(cpu::Core& core, sim::Engine& engine, sim::Rng rng,
-            const SpinConfig& spin = SpinConfig{},
             SyncHists* sync_hists = nullptr)
-      : core_(core),
-        engine_(engine),
-        rng_(rng),
-        spin_(spin),
-        sync_hists_(sync_hists) {}
+      : core_(core), engine_(engine), rng_(rng), sync_hists_(sync_hists) {}
 
   [[nodiscard]] sim::CpuId cpu() const { return core_.cpu(); }
   [[nodiscard]] sim::NodeId node() const { return core_.node(); }
@@ -48,8 +43,6 @@ class ThreadCtx {
   /// decorators write lock-acquire / barrier-episode latencies here.
   [[nodiscard]] SyncHists* sync_hists() { return sync_hists_; }
 
-  /// Spin-wait virtualization knobs (machine-wide; see SpinConfig).
-  [[nodiscard]] const SpinConfig& spin() const { return spin_; }
   [[nodiscard]] SpinStats& spin_stats() { return spin_stats_; }
 
   // ---- coherent memory ----
@@ -136,7 +129,6 @@ class ThreadCtx {
   cpu::Core& core_;
   sim::Engine& engine_;
   sim::Rng rng_;
-  SpinConfig spin_;
   SpinStats spin_stats_;
   SyncHists* sync_hists_ = nullptr;
 };

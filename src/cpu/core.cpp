@@ -100,32 +100,6 @@ sim::Task<void> Core::uncached_store(sim::Addr addr, std::uint64_t value) {
   (void)co_await p.get_future();
 }
 
-sim::Future<std::uint64_t> Core::uncached_watch(sim::Addr addr,
-                                                std::uint64_t last_seen) {
-  ++stats_.watch_regs;
-  const sim::NodeId home = coh::home_of(addr);
-  sim::Promise<std::uint64_t> p(engine_);
-  coh::Directory* dir = agents_.dirs[home];
-  wiring_.post(node_, home, net::MsgClass::kUncached, sizes_.ctrl(),
-               [dir, cpu = cpu_, addr, last_seen, p] {
-                 dir->on_watch(cpu, addr, last_seen, p);
-               });
-  return p.get_future();
-}
-
-sim::Future<std::uint64_t> Core::block_watch(sim::Addr addr) {
-  ++stats_.watch_regs;
-  const sim::NodeId home = coh::home_of(addr);
-  sim::Promise<std::uint64_t> p(engine_);
-  coh::Directory* dir = agents_.dirs[home];
-  const sim::Addr block = cache_.line_base(addr);
-  wiring_.post(node_, home, net::MsgClass::kUncached, sizes_.ctrl(),
-               [dir, cpu = cpu_, block, p] {
-                 dir->on_block_watch(cpu, block, p);
-               });
-  return p.get_future();
-}
-
 sim::Task<std::uint64_t> Core::am_rpc(amu::AmoOpcode op, sim::Addr addr,
                                       std::uint64_t operand,
                                       std::uint64_t operand2) {

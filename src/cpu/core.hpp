@@ -38,7 +38,6 @@ struct CoreStats {
   std::uint64_t am_requests = 0;
   std::uint64_t am_retransmits = 0;
   std::uint64_t compute_cycles = 0;
-  std::uint64_t watch_regs = 0;  // word/block watch registrations sent
 };
 
 /// Registry of node devices the cores talk to (wired by core::Machine).
@@ -79,17 +78,6 @@ class Core {
   /// Uncached word access at the home memory (MAO spinning).
   sim::Task<std::uint64_t> uncached_load(sim::Addr addr);
   sim::Task<void> uncached_store(sim::Addr addr, std::uint64_t value);
-
-  /// Spin quiescence (DirConfig::word_watch): registers a one-shot watch
-  /// at the home directory; the future completes with the word's new
-  /// value on the first write that moves it off `last_seen` (immediately,
-  /// if it already has). Non-blocking — returns the future to await.
-  sim::Future<std::uint64_t> uncached_watch(sim::Addr addr,
-                                            std::uint64_t last_seen);
-  /// One-shot watch on home-side activity for `addr`'s block (LL/SC
-  /// retry quiescence). Completes on the next GetX/upgrade/putback or
-  /// word write at home; pair with a fallback timeout for liveness.
-  sim::Future<std::uint64_t> block_watch(sim::Addr addr);
 
   /// Active-message RPC to the home node of `addr`; the home processor
   /// executes `op` coherently. Timeout-driven retransmission with

@@ -48,6 +48,13 @@ class InlineFnT {
   InlineFnT(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
                       // std::function at every schedule() call site
     using Fn = std::remove_cvref_t<F>;
+    // A raw move copies the whole buffer, so the bytes past the
+    // callable's state are zeroed here (a size fixed per type) rather
+    // than copied uninitialized on every relocation.
+    constexpr std::size_t live = !fits_inline<Fn>()    ? sizeof(Fn*)
+                                 : std::is_empty_v<Fn> ? 0
+                                                       : sizeof(Fn);
+    __builtin_memset(buf_ + live, 0, kInlineBytes - live);
     if constexpr (fits_inline<Fn>()) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
@@ -69,29 +76,12 @@ class InlineFnT {
   // pointers, ints); for those — and for the heap fallback, which only
   // relocates a pointer — `relocate` is null and a branch-predictable
   // fixed-size copy of the buffer suffices.
-  InlineFnT(InlineFnT&& o) noexcept : ops_(o.ops_) {
-    if (ops_ != nullptr) {
-      if (ops_->relocate != nullptr) {
-        ops_->relocate(buf_, o.buf_);
-      } else {
-        __builtin_memcpy(buf_, o.buf_, kInlineBytes);
-      }
-      o.ops_ = nullptr;
-    }
-  }
+  InlineFnT(InlineFnT&& o) noexcept { take(o); }
 
   InlineFnT& operator=(InlineFnT&& o) noexcept {
     if (this != &o) {
       reset();
-      ops_ = o.ops_;
-      if (ops_ != nullptr) {
-        if (ops_->relocate != nullptr) {
-          ops_->relocate(buf_, o.buf_);
-        } else {
-          __builtin_memcpy(buf_, o.buf_, kInlineBytes);
-        }
-        o.ops_ = nullptr;
-      }
+      take(o);
     }
     return *this;
   }
@@ -168,6 +158,18 @@ class InlineFnT {
       },
       /*heap_held=*/true,
   };
+
+  /// Moves `o`'s callable into this (empty) object and empties `o`.
+  void take(InlineFnT& o) noexcept {
+    ops_ = o.ops_;
+    if (ops_ == nullptr) return;
+    if (ops_->relocate != nullptr) {
+      ops_->relocate(buf_, o.buf_);
+    } else {
+      __builtin_memcpy(buf_, o.buf_, kInlineBytes);
+    }
+    o.ops_ = nullptr;
+  }
 
   void reset() noexcept {
     if (ops_ != nullptr) {

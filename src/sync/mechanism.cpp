@@ -1,27 +1,6 @@
 #include "sync/mechanism.hpp"
 
-#include "sim/timeout.hpp"
-
 namespace amo::sync {
-
-namespace {
-
-// LL/SC retry quiescence (SpinConfig::llsc_watch_after): after enough
-// consecutive SC failures the line is clearly contended, so instead of
-// re-fetching immediately — stealing directory occupancy from the cpus
-// making progress — wait for home-side activity on the block (with a
-// fallback timeout for liveness) before the next attempt. Disabled by
-// default (llsc_watch_after == 0): the retry loops below are untouched.
-sim::Task<void> llsc_backoff(core::ThreadCtx& t, sim::Addr addr,
-                             std::uint32_t fails) {
-  const std::uint32_t gate = t.spin().llsc_watch_after;
-  if (gate == 0 || fails < gate) co_return;
-  ++t.spin_stats().watch_waits;
-  (void)co_await sim::with_timeout(t.engine(), t.core().block_watch(addr),
-                                   t.spin().watch_repoll_cycles);
-}
-
-}  // namespace
 
 const char* to_string(Mechanism m) {
   switch (m) {
@@ -46,10 +25,9 @@ sim::Task<std::uint64_t> fetch_add(Mechanism m, core::ThreadCtx& t,
                                    std::optional<std::uint64_t> test) {
   switch (m) {
     case Mechanism::kLlSc:
-      for (std::uint32_t fails = 0;; ++fails) {
+      for (;;) {
         const std::uint64_t v = co_await t.load_linked(addr);
         if (co_await t.store_conditional(addr, v + delta)) co_return v;
-        co_await llsc_backoff(t, addr, fails + 1);
       }
     case Mechanism::kAtomic:
       co_return co_await t.atomic_fetch_add(addr, delta);
@@ -67,10 +45,9 @@ sim::Task<std::uint64_t> swap(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
                               std::uint64_t value) {
   switch (m) {
     case Mechanism::kLlSc:
-      for (std::uint32_t fails = 0;; ++fails) {
+      for (;;) {
         const std::uint64_t v = co_await t.load_linked(addr);
         if (co_await t.store_conditional(addr, value)) co_return v;
-        co_await llsc_backoff(t, addr, fails + 1);
       }
     case Mechanism::kAtomic:
       co_return co_await t.atomic_swap(addr, value);
@@ -88,11 +65,10 @@ sim::Task<std::uint64_t> cas(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
                              std::uint64_t expected, std::uint64_t desired) {
   switch (m) {
     case Mechanism::kLlSc:
-      for (std::uint32_t fails = 0;; ++fails) {
+      for (;;) {
         const std::uint64_t v = co_await t.load_linked(addr);
         if (v != expected) co_return v;  // CAS failure: no write
         if (co_await t.store_conditional(addr, desired)) co_return v;
-        co_await llsc_backoff(t, addr, fails + 1);
       }
     case Mechanism::kAtomic:
       co_return co_await t.atomic_cas(addr, expected, desired);

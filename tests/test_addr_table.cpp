@@ -51,7 +51,9 @@ TEST(AddrTable, MatchesUnorderedMapOracle) {
         Rec* r = table.find(key);
         auto it = oracle.find(key);
         ASSERT_EQ(r != nullptr, it != oracle.end());
-        if (r != nullptr) EXPECT_EQ(r->payload, it->second);
+        if (r != nullptr) {
+          EXPECT_EQ(r->payload, it->second);
+        }
         break;
       }
       case 2: {  // erase (entry reset first, per the contract)
@@ -66,7 +68,9 @@ TEST(AddrTable, MatchesUnorderedMapOracle) {
         const Rec* r = ct.find(k2);
         auto it = oracle.find(k2);
         ASSERT_EQ(r != nullptr, it != oracle.end());
-        if (r != nullptr) EXPECT_EQ(r->payload, it->second);
+        if (r != nullptr) {
+          EXPECT_EQ(r->payload, it->second);
+        }
         break;
       }
     }

@@ -67,6 +67,30 @@ TEST(ConfigIo, UnknownKeyNamesFieldAndCandidates) {
     EXPECT_EQ(msg.rfind("dir.occupnacy", 0), 0u) << msg;
     EXPECT_NE(msg.find("dir.occupancy_cycles"), std::string::npos) << msg;
   }
+  // Knobs that were deleted with the spin modes they configured: a stale
+  // config file or --set must fail loudly, never be silently ignored.
+  const char* const removed[] = {
+      "spin.uncached_watch", "spin.watch_repoll_cycles",
+      "spin.llsc_watch_after", "spin.recheck_cycles",
+      "spin.exact_accounting"};
+  for (const char* key : removed) {
+    const auto expect_named = [key](auto&& apply) {
+      try {
+        apply();
+        ADD_FAILURE() << key << ": expected ConfigError";
+      } catch (const core::ConfigError& e) {
+        const std::string msg = e.what();
+        EXPECT_EQ(msg.rfind(std::string(key) + ": unknown config key", 0),
+                  0u) << msg;
+      }
+    };
+    expect_named([&] {
+      sim::Json j = sim::Json::object();
+      j[key] = sim::Json(1);
+      core::apply_json(cfg, j);
+    });
+    expect_named([&] { core::set_field(cfg, key, std::string_view("1")); });
+  }
 }
 
 TEST(ConfigIo, TypeMismatchThrows) {

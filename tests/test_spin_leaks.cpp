@@ -311,38 +311,6 @@ TEST(SpinWake, LocalWriteBySiblingContext) {
   EXPECT_EQ(st.word_updates, 0u);
 }
 
-// --------------------------------------- uncached word-watch (machine)
-
-TEST(SpinLeaks, UncachedWatchHoldsOneDirectoryEntry) {
-  core::SystemConfig cfg;
-  cfg.num_cpus = 2;
-  cfg.spin.uncached_watch = true;
-  core::Machine m(cfg);
-  const sim::Addr flag = m.galloc().alloc_word_line(0);
-  constexpr sim::Cycle kRelease = 30000;
-  std::size_t max_watches = 0;
-  for (sim::Cycle at = 3000; at < kRelease; at += 977) {
-    m.engine().schedule_at(at, [&] {
-      max_watches = std::max(max_watches, m.dir(0).watch_entries());
-    });
-  }
-  m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
-    const std::uint64_t v = co_await sync::spin_uncached_until(
-        t, flag, [](std::uint64_t x) { return x != 0; },
-        [](std::uint64_t) { return sim::Cycle{400}; });
-    EXPECT_EQ(v, 1u);
-  });
-  m.spawn(1, [&](core::ThreadCtx& t) -> sim::Task<void> {
-    co_await t.compute(kRelease);
-    co_await t.uncached_store(flag, 1);
-  });
-  m.run();
-  EXPECT_EQ(max_watches, 1u)
-      << "one parked stretch registers exactly one home-node watcher";
-  EXPECT_EQ(m.dir(0).watch_entries(), 0u)
-      << "the wake-up ping flushes and erases the watch entry";
-}
-
 // ---------------------------------------- pinned barrier timing (machine)
 
 // An 8-CPU AMO central barrier with skewed arrivals. The per-episode
