@@ -12,15 +12,18 @@ Subcommands and the runs they expect:
 
     schema FILE           run table2 --quick --episodes=2
     spin FILE             run microbench_spin --quick --episodes=2
-    pdes FILE             run microbench_pdes
-    pdes-determinism A B  run microbench_pdes --quick --episodes=4, twice
-    pdes1024 FILE         run microbench_pdes --cpus=1024 --episodes=2
     hier FILE             run microbench_hier
+    pdes FILE             run microbench_hier (the same file as hier)
     hier-determinism A B  run microbench_hier --quick --episodes=4 at
                           --threads=1 and --threads=4
+    pdes1024 FILE         run microbench_hier --cpus=1024 --episodes=2
     service FILE          run microbench_service --threads=4
-    pdes4096 K1 K4 K8     run microbench_pdes --cpus=4096 --sim-threads=K
+    pdes4096 K1 K4 K8     run microbench_hier --cpus=4096 --sim-threads=K
                           --set num_cpus=4096 --episodes=2, for K = 1, 4, 8
+
+The PDES gates read the flat-tree cells, which microbench_hier runs at
+sim_threads 1, 2 and 4 for every cpu count (one K when --sim-threads pins
+it).
 """
 import argparse
 import json
@@ -29,6 +32,10 @@ import os
 
 def records(path):
     return json.load(open(path))["records"]
+
+
+def flat_tree(path):
+    return [r for r in records(path) if r["barrier"] == "flat_tree"]
 
 
 def schema(path):
@@ -79,14 +86,11 @@ def spin(path):
 
 
 def pdes(path):
-    recs = records(path)
-    assert recs, "no records emitted"
+    recs = flat_tree(path)
+    assert recs, "no flat_tree records emitted"
     by_cell = {}
     for r in recs:
-        # The PDES cells run the flat tree barrier; like every hierarchy
-        # kind it reports through the microbench_hier record.
         assert r["workload"] == "microbench_hier"
-        assert r["barrier"] == "flat_tree"
         assert r["cycles_per_episode"] > 0
         assert r["events"] > 0
         assert r["wall_ms"] > 0
@@ -121,15 +125,8 @@ def same_simulated_fields(path_a, path_b, sim):
     print(f"ok: {len(a)} records identical on all simulated fields")
 
 
-def pdes_determinism(path_a, path_b):
-    same_simulated_fields(path_a, path_b,
-                          ("cpus", "sim_threads", "mechanism", "barrier",
-                           "episodes", "cycles_per_episode", "total_cycles",
-                           "events"))
-
-
 def pdes1024(path):
-    recs = records(path)
+    recs = flat_tree(path)
     ks = {r["sim_threads"] for r in recs if r["cpus"] == 1024}
     assert ks == {1, 2, 4}, ks
     for r in recs:
@@ -166,7 +163,7 @@ def hier_determinism(path_a, path_b):
     same_simulated_fields(path_a, path_b,
                           ("cpus", "sim_threads", "mechanism", "barrier",
                            "levels", "episodes", "cycles_per_episode",
-                           "root_link_messages", "events"))
+                           "total_cycles", "root_link_messages", "events"))
 
 
 def service(path):
@@ -204,7 +201,7 @@ def service(path):
 
 def pdes4096(path_k1, path_k4, path_k8):
     for k, path in ((1, path_k1), (4, path_k4), (8, path_k8)):
-        recs = records(path)
+        recs = flat_tree(path)
         assert len(recs) == 1, (k, len(recs))
         r = recs[0]
         assert r["cpus"] == 4096 and r["sim_threads"] == k, r
@@ -216,7 +213,6 @@ GATES = {
     "schema": (schema, 1),
     "spin": (spin, 1),
     "pdes": (pdes, 1),
-    "pdes-determinism": (pdes_determinism, 2),
     "pdes1024": (pdes1024, 1),
     "hier": (hier, 1),
     "hier-determinism": (hier_determinism, 2),

@@ -37,7 +37,7 @@ class WorkloadRegistry {
   std::vector<Workload> workloads_;
 };
 
-/// Defined in workloads.cpp; registers the 24 built-in workloads.
+/// Defined in workloads.cpp; registers the 20 built-in workloads.
 void register_builtin_workloads(WorkloadRegistry& reg);
 
 // The one place the per-main copies of CLI-default plumbing collapsed

@@ -1,12 +1,13 @@
-// The 24 built-in workloads: the paper's tables and figures, the
-// ablations, the extension lock matrix, and the spin/PDES/hierarchy/
-// service microbenches. Each entry is a builder (CLI options -> SweepSpec)
+// The 20 built-in workloads: the paper's tables and figures, the
+// ablations, the extension lock matrix, and the spin/hierarchy/service
+// microbenches. Each entry is a builder (CLI options -> SweepSpec)
 // plus the tables its cells pivot into; paper reference values and
 // expected shapes are the entry's notes.
 #include <algorithm>
 #include <array>
 
 #include "bench/registry.hpp"
+#include "net/topology.hpp"
 
 namespace amo::bench {
 
@@ -76,10 +77,9 @@ SweepSpec build_fig1(const CliOptions& opt) {
   return s;
 }
 
-// ---------------------------------------------------- table2 / fig5
-SweepSpec build_central_sweep(const CliOptions& opt, const char* name,
-                              const char* bench) {
-  SweepSpec s{name, bench, {}, {}};
+// ----------------------------------------------------------- table2
+SweepSpec build_table2(const CliOptions& opt) {
+  SweepSpec s{"table2", "table2_barriers", {}, {}};
   const std::vector<std::uint32_t> cpus =
       resolved_cpus(opt, paper_cpu_counts(4), {4, 8, 16, 32});
   const int episodes = resolved_episodes(opt);
@@ -91,15 +91,7 @@ SweepSpec build_central_sweep(const CliOptions& opt, const char* name,
   return s;
 }
 
-SweepSpec build_table2(const CliOptions& opt) {
-  return build_central_sweep(opt, "table2", "table2_barriers");
-}
-
-SweepSpec build_fig5(const CliOptions& opt) {
-  return build_central_sweep(opt, "fig5", "fig5_barrier_cycles");
-}
-
-// ---------------------------------------------------- table3 / fig6
+// ----------------------------------------------------------- table3
 SweepSpec build_table3(const CliOptions& opt) {
   SweepSpec s{"table3", "table3_tree_barriers", {}, {}};
   const std::vector<std::uint32_t> cpus =
@@ -120,23 +112,7 @@ SweepSpec build_table3(const CliOptions& opt) {
   return s;
 }
 
-SweepSpec build_fig6(const CliOptions& opt) {
-  SweepSpec s{"fig6", "fig6_tree_cycles", {}, {}};
-  const std::vector<std::uint32_t> cpus =
-      resolved_cpus(opt, paper_cpu_counts(16), {16, 32});
-  const int episodes = resolved_episodes(opt);
-  for (std::uint32_t p : cpus) {
-    for (Mechanism m : kTableMechs) {
-      for (std::uint32_t f : tree_fanouts(p)) {
-        s.cells.push_back(
-            cell(p, barrier_params(m, episodes, BarrierKind::kTree, f)));
-      }
-    }
-  }
-  return s;
-}
-
-// ----------------------------------------------------- table4 / fig7
+// ----------------------------------------------------------- table4
 // Variants in the serial run/record order: the LL/SC ticket baseline,
 // then (mechanism, ticket/array) skipping the baseline combination.
 std::vector<std::pair<Mechanism, LockAlgo>> table4_variants() {
@@ -159,19 +135,6 @@ SweepSpec build_table4(const CliOptions& opt) {
   for (std::uint32_t p : cpus) {
     for (const auto& [m, algo] : table4_variants()) {
       s.cells.push_back(cell(p, lock_params(m, algo, iters)));
-    }
-  }
-  return s;
-}
-
-SweepSpec build_fig7(const CliOptions& opt) {
-  SweepSpec s{"fig7", "fig7_lock_traffic", {}, {}};
-  const std::vector<std::uint32_t> cpus =
-      resolved_cpus(opt, {128, 256}, {32});
-  const int iters = resolved_iters(opt);
-  for (std::uint32_t p : cpus) {
-    for (Mechanism m : kTableMechs) {
-      s.cells.push_back(cell(p, lock_params(m, LockAlgo::kTicket, iters)));
     }
   }
   return s;
@@ -384,41 +347,19 @@ SweepSpec build_microbench_spin(const CliOptions& opt) {
   return s;
 }
 
-// --------------------------------------------------- microbench_pdes
-// Host-parallel scaling: the same flat-tree-barrier episode workload run at
-// sim_threads (PDES domains) K = 1, 2, 4 for each cpu count. Simulated
-// cycles are deterministic per K; wall-clock and events/s are host
-// measurements, reported for the BENCH_pdes artifact. K = 1 is the
-// serial engine; each K > 1 is its own deterministic mode, so cycles may
-// differ across columns (see DESIGN.md §10) but never across reruns.
-SweepSpec build_microbench_pdes(const CliOptions& opt) {
-  const auto cpus = resolved_cpus(opt, {64, 256}, {64});
-  const int episodes = resolved_episodes(opt, 8);
-  SweepSpec s{"microbench_pdes", "microbench_pdes", {}, {}};
-  // --sim-threads pins the sweep to that single domain count (the CI
-  // 4096-CPU smoke runs one K per invocation to stay inside its budget).
-  std::vector<std::uint32_t> threads = {1, 2, 4};
-  if (opt.sim_threads != 0) threads = {opt.sim_threads};
-  for (std::uint32_t p : cpus) {
-    for (std::uint32_t k : threads) {
-      Cell c = cell(p, barrier_params(Mechanism::kAmo, episodes,
-                                      BarrierKind::kFlatTree));
-      c.set.push_back({"sim_threads", sim::Json(k)});
-      s.cells.push_back(std::move(c));
-    }
-  }
-  return s;
-}
-
 // --------------------------------------------------- microbench_hier
 // Hierarchy-aware barriers: for each cpu count, the flat fixed-fanout
 // AMO tree barrier (the PR-gate baseline) vs the cluster-hierarchical
 // barrier with software fan-in and with AMU aggregation. The headline
 // number is packets crossing the fat tree's ROOT links per episode —
 // aggregation turns O(P) root-bound arrivals into O(clusters) combined
-// fetch-adds. The largest cpu count also runs the aggregated variant at
-// sim_threads = 2 and 4 for the BENCH_hier scaling curve (skipped when
-// --sim-threads already pins the whole sweep to one K).
+// fetch-adds. Host-parallel scaling rides along: the flat tree also runs
+// at sim_threads (PDES domains) = 2 and 4 for every cpu count, and the
+// aggregated variant at the largest count (both skipped when
+// --sim-threads already pins the whole sweep to one K). Simulated cycles
+// are deterministic per K; each K > 1 is its own deterministic mode, so
+// cycles may differ across K (see DESIGN.md §10) but never across
+// reruns. Wall-clock and events/s are host measurements.
 const std::array<BarrierKind, 3> kHierVariants = {
     BarrierKind::kFlatTree, BarrierKind::kCluster, BarrierKind::kClusterAmu};
 
@@ -446,13 +387,16 @@ SweepSpec build_microbench_hier(const CliOptions& opt) {
   for (std::uint32_t p : cpus) {
     for (BarrierKind v : kHierVariants) {
       s.cells.push_back(hier_cell(p, levels, hier_params(v, episodes)));
+      if (v == BarrierKind::kCluster ||
+          (v == BarrierKind::kClusterAmu && p != cpus.back())) {
+        continue;
+      }
+      for (std::uint32_t k : scale_ks) {
+        Cell c = hier_cell(p, levels, hier_params(v, episodes));
+        c.set.push_back({"sim_threads", sim::Json(k)});
+        s.cells.push_back(std::move(c));
+      }
     }
-  }
-  for (std::uint32_t k : scale_ks) {
-    Cell c = hier_cell(cpus.back(), levels,
-                       hier_params(BarrierKind::kClusterAmu, episodes));
-    c.set.push_back({"sim_threads", sim::Json(k)});
-    s.cells.push_back(std::move(c));
   }
   return s;
 }
@@ -465,35 +409,30 @@ SweepSpec build_microbench_hier(const CliOptions& opt) {
 const std::array<std::uint32_t, 3> kHierRadixes = {2, 4, 8};
 const std::array<std::uint32_t, 3> kHierDepths = {1, 2, 3};
 
-/// Router levels of the fat tree derived for `nodes` leaves — the
-/// validate() ceiling for hier.levels (kept in step with config_io).
-std::uint32_t tree_height(std::uint32_t nodes, std::uint32_t radix) {
-  std::uint32_t height = 0;
-  for (std::uint32_t e = nodes; e > 1; e = (e + radix - 1) / radix) {
-    ++height;
-  }
-  return height;
-}
-
 SweepSpec build_hier_depth(const CliOptions& opt) {
   SweepSpec s{"ablation_hier_depth", "ablation_hier_depth", {}, {}};
   const std::uint32_t p = resolved_cpus(opt, {256}, {64}).front();
   const int episodes = resolved_episodes(opt, 4);
+  core::SystemConfig machine = base_config(opt);
+  machine.num_cpus = p;
   for (std::uint32_t radix : kHierRadixes) {
     {
       Cell c = cell(p, hier_params(BarrierKind::kFlatTree, episodes));
       c.set.push_back({"net.radix", sim::Json(radix)});
       s.cells.push_back(std::move(c));
     }
-    // A depth past the derived tree height is a config error, not a
-    // deeper hierarchy; clamp so --quick (fewer nodes) stays valid.
-    // Assumes the default cpus_per_node=2 (these cells never change it).
+    // A depth past the tree height is a config error, not a deeper
+    // hierarchy: clamp to it, and run each clamped depth once.
     const std::uint32_t height =
-        std::max(1u, tree_height((p + 1) / 2, radix));
+        std::max(1u, net::fat_tree_height(machine.num_nodes(), radix));
+    std::uint32_t last = 0;
     for (std::uint32_t depth : kHierDepths) {
+      const std::uint32_t levels = std::min(depth, height);
+      if (levels == last) continue;
+      last = levels;
       Cell c = cell(p, hier_params(BarrierKind::kClusterAmu, episodes));
       c.set.push_back({"net.radix", sim::Json(radix)});
-      c.set.push_back({"hier.levels", sim::Json(std::min(depth, height))});
+      c.set.push_back({"hier.levels", sim::Json(levels)});
       s.cells.push_back(std::move(c));
     }
   }
@@ -617,59 +556,57 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
            "three processors proceed; AMOs need 6 (3 requests + 3 replies) "
            "plus the word-update wave that releases the spinners."});
   reg.add({"table2",
-           "central barrier speedup over LL/SC, 4..256 CPUs (Table 2)",
+           "central barrier speedup over LL/SC, 4..256 CPUs (Table 2, "
+           "Fig. 5)",
            build_table2,
            {{.title = "Table 2: central barrier cycles per barrier",
              .rows = cpus, .cols = mech, .precision = 2},
             {.title = "Table 2: barrier speedup over LL/SC",
              .rows = cpus, .cols = mech, .precision = 2,
-             .relative_to = vs_llsc}},
-           "paper:  4: 0.95/1.15/1.21/2.10   32: 2.38/1.36/4.20/15.14"
-           "   256: 2.82/1.23/14.70/61.94"});
-  reg.add({"fig5", "central barrier cycles-per-processor vs P (Fig. 5)",
-           build_fig5,
-           {{.title = "Figure 5: barrier cycles-per-processor",
+             .relative_to = vs_llsc},
+            {.title = "Figure 5: barrier cycles-per-processor",
              .rows = cpus, .cols = mech, .metric = M::kSecondary,
              .precision = 1}},
-           "expected shape: LL/SC per-proc time rises with P (superlinear "
-           "total); AMO per-proc time is flat and slightly decreasing."});
+           "paper:  4: 0.95/1.15/1.21/2.10   32: 2.38/1.36/4.20/15.14"
+           "   256: 2.82/1.23/14.70/61.94\n"
+           "Fig. 5 expected shape: LL/SC per-proc time rises with P "
+           "(superlinear total); AMO per-proc time is flat and slightly "
+           "decreasing."});
   reg.add({"table3",
-           "two-level tree barriers, best fanout per point (Table 3)",
+           "two-level tree barriers, best fanout per point (Table 3, "
+           "Fig. 6)",
            build_table3,
            {{.title = "Table 3: tree barrier speedup over central LL/SC "
                       "(best fanout)",
              .rows = cpus, .cols = {"kind", "mech"}, .precision = 2,
-             .relative_to = {{"kind", "central"}, {"mech", "LL/SC"}}}},
-           "paper: 16: 1.70/2.41/2.25/2.60/2.59/9.11"
-           "   256: 8.38/14.72/11.22/20.37/22.62/61.94"});
-  reg.add({"fig6", "tree barrier cycles-per-processor, best fanout (Fig. 6)",
-           build_fig6,
-           {{.title = "Figure 6: tree barrier cycles-per-processor "
+             .relative_to = {{"kind", "central"}, {"mech", "LL/SC"}}},
+            {.title = "Figure 6: tree barrier cycles-per-processor "
                       "(best fanout)",
-             .rows = cpus, .cols = mech, .metric = M::kSecondary,
+             .rows = cpus, .cols = {"kind", "mech"}, .metric = M::kSecondary,
              .precision = 1}},
-           "expected shape: per-processor time decreases with P for all "
-           "tree barriers (overhead amortized over more branches)."});
+           "paper: 16: 1.70/2.41/2.25/2.60/2.59/9.11"
+           "   256: 8.38/14.72/11.22/20.37/22.62/61.94\n"
+           "Fig. 6 expected shape: per-processor time decreases with P for "
+           "all tree barriers (overhead amortized over more branches)."});
   reg.add({"table4",
-           "ticket/array lock speedups over LL/SC ticket (Table 4)",
+           "ticket/array lock speedups over LL/SC ticket (Table 4, Fig. 7)",
            build_table4,
            {{.title = "Table 4: lock cycles (measured region)",
              .rows = cpus, .cols = {"mech", "algo"}},
             {.title = "Table 4: lock speedups over the LL/SC ticket lock",
              .rows = cpus, .cols = {"mech", "algo"}, .precision = 2,
-             .relative_to = {{"mech", "LL/SC"}, {"algo", "ticket"}}}},
-           "paper: 4: AMO 1.95/1.31   64: LLSC.a 1.42, AMO 4.90/5.45"
-           "   256: AMO 10.36/10.05"});
-  reg.add({"fig7",
-           "ticket-lock network traffic normalized to LL/SC (Fig. 7)",
-           build_fig7,
-           {{.title = "Figure 7: ticket-lock network traffic (bytes, "
-                      "normalized to LL/SC)",
-             .rows = cpus, .cols = mech, .metric = M::kBytes,
-             .precision = 2, .relative_to = vs_llsc,
+             .relative_to = {{"mech", "LL/SC"}, {"algo", "ticket"}}},
+            {.title = "Figure 7: lock network traffic (bytes, normalized "
+                      "to the LL/SC ticket lock)",
+             .rows = cpus, .cols = {"mech", "algo"}, .metric = M::kBytes,
+             .precision = 2,
+             .relative_to = {{"mech", "LL/SC"}, {"algo", "ticket"}},
              .relative = Relative::kNormalized}},
-           "expected shape: AMO lowest by far; ActMsg highest (timeout "
-           "retransmissions under contention)."});
+           "paper: 4: AMO 1.95/1.31   64: LLSC.a 1.42, AMO 4.90/5.45"
+           "   256: AMO 10.36/10.05\n"
+           "Fig. 7 (ticket columns, 128 and 256 CPUs) expected shape: AMO "
+           "lowest by far; ActMsg highest (timeout retransmissions under "
+           "contention)."});
   reg.add({"ablation_amu_cache", "AMU cache size vs concurrent AMO locks",
            build_amu_cache,
            {{.title = "Ablation: AMU cache size (AMO ticket locks, total "
@@ -793,28 +730,9 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
              .rows = cpus, .cols = {"active"}}},
            "expected shape: events/episode track the active set, not the "
            "total P (parked waiters cost no events)."});
-  const std::vector<std::string> domains = {"sim_threads"};
-  reg.add({"microbench_pdes",
-           "host-parallel PDES scaling: wall-clock at sim_threads=1/2/4",
-           build_microbench_pdes,
-           {{.title = "Microbench: conservative PDES (AMO tree barrier), "
-                      "cycles per episode",
-             .rows = cpus, .cols = domains},
-            {.title = "Microbench: conservative PDES, host events",
-             .rows = cpus, .cols = domains, .metric = M::kEvents},
-            {.title = "Microbench: conservative PDES, wall ms",
-             .rows = cpus, .cols = domains, .metric = M::kWallMs,
-             .precision = 1},
-            {.title = "Microbench: conservative PDES, wall-clock speedup "
-                      "over sim_threads=1",
-             .rows = cpus, .cols = domains, .metric = M::kWallMs,
-             .precision = 2, .relative_to = {{"sim_threads", "1"}}}},
-           "expected shape: cycles/episode stable within a column across "
-           "reruns (deterministic per K); wall-clock speedup approaches the "
-           "domain count on a host with that many cores."});
   const std::vector<std::string> hier = {"kind", "sim_threads"};
   reg.add({"microbench_hier",
-           "cluster-hierarchical barriers: root-link traffic vs flat tree",
+           "cluster-hierarchical barriers: root-link traffic, PDES scaling",
            build_microbench_hier,
            {{.title = "Microbench: hierarchy-aware AMO barriers (cluster "
                       "fan-in vs flat fanout-4 tree), cycles per episode",
@@ -826,11 +744,23 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
             {.title = "Microbench: hierarchy-aware AMO barriers, root-link "
                       "cut vs the flat tree",
              .rows = cpus, .cols = hier, .metric = M::kSecondary,
-             .precision = 2, .relative_to = {{"kind", "flat_tree"}}}},
+             .precision = 2, .relative_to = {{"kind", "flat_tree"}}},
+            {.title = "Microbench: conservative PDES, host events",
+             .rows = cpus, .cols = hier, .metric = M::kEvents},
+            {.title = "Microbench: conservative PDES, wall ms",
+             .rows = cpus, .cols = hier, .metric = M::kWallMs,
+             .precision = 1},
+            {.title = "Microbench: conservative PDES, wall-clock speedup "
+                      "over sim_threads=1",
+             .rows = cpus, .cols = hier, .metric = M::kWallMs,
+             .precision = 2, .relative_to = {{"sim_threads", "1"}}}},
            "expected shape: both cluster variants cut root-link messages; "
            "AMU aggregation cuts them to O(clusters) — at 256+ CPUs >= 2x "
            "fewer than the flat tree, at lower cycles/episode (the CI "
-           "gate)."});
+           "gate).\n"
+           "PDES expected shape: cycles/episode stable within a column "
+           "across reruns (deterministic per K); wall-clock speedup "
+           "approaches the domain count on a host with that many cores."});
   const std::vector<std::string> radix = {"num_cpus", "net.radix"};
   const std::vector<std::string> depth = {"kind", "hier.levels"};
   reg.add({"ablation_hier_depth",

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "net/topology.hpp"
+
 namespace amo::core {
 
 namespace {
@@ -252,14 +254,9 @@ void validate(const SystemConfig& c) {
          "per-level latency step needs a non-zero net.hop_cycles base "
          "(level-0 links would be free)");
   }
-  // Height of the fat tree Machine will derive: router levels above the
-  // nodes. The hierarchical mechanisms map their clusters onto these
-  // levels, so a deeper hierarchy than the tree is a config error.
-  std::uint32_t height = 0;
-  for (std::uint32_t e = c.num_nodes(); e > 1;
-       e = (e + c.net.radix - 1) / c.net.radix) {
-    ++height;
-  }
+  // The hierarchical mechanisms map their clusters onto the fat tree's
+  // router levels, so a deeper hierarchy than the tree is a config error.
+  const std::uint32_t height = net::fat_tree_height(c.num_nodes(), c.net.radix);
   if (c.hier.levels == 0) {
     fail("hier.levels", "cluster hierarchy needs at least one level");
   }

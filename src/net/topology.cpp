@@ -13,6 +13,12 @@ std::uint32_t div_ceil(std::uint32_t a, std::uint32_t b) {
 
 }  // namespace
 
+std::uint32_t fat_tree_height(std::uint32_t num_nodes, std::uint32_t radix) {
+  std::uint32_t height = 0;
+  for (std::uint32_t e = num_nodes; e > 1; e = div_ceil(e, radix)) ++height;
+  return height;
+}
+
 Topology::Topology(std::uint32_t num_nodes, std::uint32_t radix)
     : num_nodes_(num_nodes), radix_(radix) {
   assert(num_nodes >= 1);
@@ -20,15 +26,11 @@ Topology::Topology(std::uint32_t num_nodes, std::uint32_t radix)
   if (std::has_single_bit(radix)) {
     radix_shift_ = static_cast<std::uint32_t>(std::countr_zero(radix));
   }
+  // A one-node system gets no routers (and no links); a system that fits
+  // under one leaf router gets exactly one level.
   entities_per_level_.push_back(num_nodes);
-  // Add router levels until a single router covers everything. A one-node
-  // system gets no routers; a system that fits under one leaf router gets
-  // exactly one level.
-  while (entities_per_level_.back() > 1) {
+  for (std::uint32_t k = fat_tree_height(num_nodes, radix); k > 0; --k) {
     entities_per_level_.push_back(div_ceil(entities_per_level_.back(), radix));
-  }
-  if (entities_per_level_.size() == 1) {
-    // Single node: no links. Keep the invariant levels() == size-1 == 0.
   }
   // Links exist between level k entities and their level k+1 parents,
   // for k in [0, levels-1]. Lay out flat indices: for each level, first all

@@ -21,6 +21,13 @@ struct LinkRef {
 
 class Topology;
 
+/// Router levels of the fat tree over `num_nodes` nodes at router radix
+/// `radix`: levels are added until one router covers every node, so a
+/// one-node system has none. Topology builds exactly this many, and
+/// config validation bounds `hier.levels` by it.
+[[nodiscard]] std::uint32_t fat_tree_height(std::uint32_t num_nodes,
+                                            std::uint32_t radix);
+
 /// Allocation-free route iterator: emits the same link sequence as
 /// Topology::route(src, dst) without materializing a vector. A single
 /// constructor pass divides both endpoints up the tree, recording dst's

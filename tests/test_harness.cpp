@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -444,33 +445,43 @@ TEST(Tables, UnknownKeysAreErrors) {
       std::logic_error);
 }
 
-// Every built-in workload's --quick cells all land in at least one of
-// its tables, so no measured cell goes unprinted.
+// Every built-in workload's cells, at --quick and at default size, all
+// land in at least one of its tables, so no measured cell goes
+// unprinted; and no workload runs the same (config, params) cell twice.
 TEST(Tables, EveryQuickCellLandsInATable) {
-  CliOptions opt;
-  opt.quick = true;
   const std::vector<Workload>& all = WorkloadRegistry::instance().all();
-  EXPECT_EQ(all.size(), 24u);
-  for (const Workload& w : all) {
-    const SweepSpec spec = w.build(opt);
-    const std::vector<core::SystemConfig> cfgs =
-        materialize(spec, base_config(opt));
-    ASSERT_FALSE(w.tables.empty()) << w.name;
-    std::vector<bool> placed(spec.cells.size(), false);
-    for (const TableSpec& t : w.tables) {
-      const Pivot p = pivot(t, spec, cfgs);
-      ASSERT_EQ(p.slot.size(), spec.cells.size()) << w.name;
-      for (std::size_t i = 0; i < p.slot.size(); ++i) {
-        placed[i] = placed[i] || (p.slot[i].first < p.rows.size() &&
-                                  p.slot[i].second < p.cols.size());
+  EXPECT_EQ(all.size(), 20u);
+  for (const bool quick : {true, false}) {
+    CliOptions opt;
+    opt.quick = quick;
+    for (const Workload& w : all) {
+      const SweepSpec spec = w.build(opt);
+      const std::vector<core::SystemConfig> cfgs =
+          materialize(spec, base_config(opt));
+      ASSERT_FALSE(w.tables.empty()) << w.name;
+      std::vector<bool> placed(spec.cells.size(), false);
+      for (const TableSpec& t : w.tables) {
+        const Pivot p = pivot(t, spec, cfgs);
+        ASSERT_EQ(p.slot.size(), spec.cells.size()) << w.name;
+        for (std::size_t i = 0; i < p.slot.size(); ++i) {
+          placed[i] = placed[i] || (p.slot[i].first < p.rows.size() &&
+                                    p.slot[i].second < p.cols.size());
+        }
+        // Relative tables must name real column keys.
+        EXPECT_NO_THROW((void)format_table(
+            t, spec, cfgs, std::vector<CellResult>(spec.cells.size())))
+            << w.name << ": " << t.title;
       }
-      // Relative tables must name real column keys.
-      EXPECT_NO_THROW((void)format_table(
-          t, spec, cfgs, std::vector<CellResult>(spec.cells.size())))
-          << w.name << ": " << t.title;
-    }
-    for (std::size_t i = 0; i < placed.size(); ++i) {
-      EXPECT_TRUE(placed[i]) << w.name << " cell " << i;
+      const sim::Json cells = spec_to_json(spec).at("cells");
+      std::set<std::string> seen;
+      for (std::size_t i = 0; i < placed.size(); ++i) {
+        EXPECT_TRUE(placed[i]) << w.name << " cell " << i;
+        const std::string key = core::to_json(cfgs[i]).dump() +
+                                cells[i].at("params").dump();
+        EXPECT_TRUE(seen.insert(key).second)
+            << w.name << (quick ? " --quick" : "") << " runs cell " << i
+            << " twice";
+      }
     }
   }
 }
