@@ -19,8 +19,8 @@ const Workload* WorkloadRegistry::find(std::string_view name) const {
 std::vector<std::uint32_t> resolved_cpus(const CliOptions& opt,
                                          std::vector<std::uint32_t> dflt,
                                          std::vector<std::uint32_t> quick) {
-  if (opt.quick && !quick.empty()) return quick;
   if (!opt.cpus.empty()) return opt.cpus;
+  if (opt.quick && !quick.empty()) return quick;
   return dflt;
 }
 

@@ -42,8 +42,8 @@ void register_builtin_workloads(WorkloadRegistry& reg);
 
 // The one place the per-main copies of CLI-default plumbing collapsed
 // into: every builder resolves its sweep axes through these.
-/// --quick trims to `quick` (when the workload has a quick list),
-/// otherwise --cpus wins, otherwise the workload default.
+/// --cpus wins; otherwise --quick trims to `quick` (when the workload
+/// has a quick list); otherwise the workload default.
 [[nodiscard]] std::vector<std::uint32_t> resolved_cpus(
     const CliOptions& opt, std::vector<std::uint32_t> dflt,
     std::vector<std::uint32_t> quick = {});

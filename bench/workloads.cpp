@@ -378,13 +378,18 @@ Cell hier_cell(std::uint32_t cpus, std::uint32_t levels, CellParams params) {
 SweepSpec build_microbench_hier(const CliOptions& opt) {
   const auto cpus = resolved_cpus(opt, {64, 256, 1024}, {64, 256});
   const int episodes = resolved_episodes(opt, 8);
-  // Two physical tree levels of clustering: valid for every default cpu
-  // count (64 cpus = 32 nodes is already height 2 at radix 8).
-  const std::uint32_t levels = 2;
+  core::SystemConfig machine = base_config(opt);
   SweepSpec s{"microbench_hier", "microbench_hier", {}, {}};
   std::vector<std::uint32_t> scale_ks;
   if (opt.sim_threads == 0) scale_ks = {2, 4};
   for (std::uint32_t p : cpus) {
+    // Two physical tree levels of clustering (every default cpu count has
+    // them: 64 cpus = 32 nodes is height 2 at radix 8), clamped to the
+    // tree height of a smaller machine.
+    machine.num_cpus = p;
+    const std::uint32_t levels = std::min(
+        2u, std::max(1u, net::fat_tree_height(machine.num_nodes(),
+                                              machine.net.radix)));
     for (BarrierKind v : kHierVariants) {
       s.cells.push_back(hier_cell(p, levels, hier_params(v, episodes)));
       if (v == BarrierKind::kCluster ||

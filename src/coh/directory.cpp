@@ -6,6 +6,18 @@
 
 namespace amo::coh {
 
+namespace {
+
+/// Whether any cpu below `limit` other than `r` is in the set.
+bool has_other_sharer(const SharerSet& sharers, sim::CpuId r,
+                      std::uint32_t limit) {
+  bool other = false;
+  sharers.for_each(limit, [&](sim::CpuId c) { other = other || c != r; });
+  return other;
+}
+
+}  // namespace
+
 Directory::Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
                      sim::NodeId node, mem::Backing& backing, mem::Dram& dram,
                      const DirConfig& config)
@@ -50,15 +62,14 @@ sim::InlineFn Directory::wait_pop(Entry& e) {
   return wait_pool_.pop(e.waiting);
 }
 
-void Directory::deliver_put(const std::bitset<kMaxCpus>& targets,
-                            sim::Addr addr, std::uint64_t value,
-                            sim::NodeId n) {
+void Directory::deliver_put(const SharerSet& targets, sim::Addr addr,
+                            std::uint64_t value, sim::NodeId n) {
   // Runs at node n — under PDES possibly on a different domain thread
   // than this (home) directory. It touches only n's own caches plus the
   // immutable sharer snapshot carried in the closure, so the home
   // directory's state is never written from a foreign domain.
   const std::uint32_t cpn = wiring_.cpus_per_node();
-  const auto total = static_cast<sim::CpuId>(agents_.caches.size());
+  const sim::CpuId total = cpu_count();
   const sim::CpuId begin = n * cpn;
   const sim::CpuId end = std::min<sim::CpuId>(begin + cpn, total);
   for (sim::CpuId c = begin; c < end; ++c) {
@@ -220,8 +231,8 @@ void Directory::word_put(sim::Addr addr, std::uint64_t value) {
     // The snapshot travels *by value* inside the delivery closure — under
     // PDES, deliveries execute on the target node's domain thread, so the
     // wave must not reach back into home-directory state.
-    std::bitset<kMaxCpus> targets;
-    const auto total = static_cast<sim::CpuId>(agents_.caches.size());
+    SharerSet targets;
+    const sim::CpuId total = cpu_count();
     if (e.st == State::kExclusive) {
       targets.set(e.owner);
     } else if (e.coarse) {
@@ -233,21 +244,20 @@ void Directory::word_put(sim::Addr addr, std::uint64_t value) {
       targets = e.sharers;
     }
 
-    // Target nodes, ascending (cpu ids ascend within a node, so scanning
-    // cpus in order yields nodes in order — the deterministic fan-out
-    // order the old sorted-vector path produced).
+    // Target nodes, ascending (cpu ids ascend within a node, so walking
+    // the set bits in order yields nodes in order — the deterministic
+    // fan-out order the old sorted-vector path produced).
     put_nodes_.clear();
-    for (sim::CpuId c = 0; c < total; ++c) {
-      if (!targets.test(c)) continue;
+    targets.for_each(total, [this](sim::CpuId c) {
       const sim::NodeId n = wiring_.node_of(c);
       if (put_nodes_.empty() || put_nodes_.back() != n) put_nodes_.push_back(n);
-    }
+    });
     if (put_nodes_.empty()) return;
     stats_.word_updates_sent += put_nodes_.size();
 
     const std::uint32_t bytes =
         config_.put_block_granularity ? sizes_.data() : sizes_.word();
-    // The bitset capture overflows the inline buffer, so the fan-out
+    // The sharer-set capture overflows the inline buffer, so the fan-out
     // closure takes the frame-pooled boxed path — one pooled allocation
     // per wave, shared across all target nodes by post_update.
     wiring_.post_update(node_, put_nodes_, bytes,
@@ -332,9 +342,7 @@ void Directory::handle_getx(sim::CpuId r, sim::Addr block) {
       return;
     case State::kShared: {
       flush_amu(block);
-      auto targets = e.sharers;
-      targets.reset(r);
-      if (!e.coarse && targets.none()) {
+      if (!e.coarse && !has_other_sharer(e.sharers, r, cpu_count())) {
         e.busy = true;
         e.st = State::kExclusive;
         e.owner = r;
@@ -381,9 +389,7 @@ void Directory::handle_upgrade(sim::CpuId r, sim::Addr block) {
     return;
   }
   flush_amu(block);
-  auto targets = e.sharers;
-  targets.reset(r);
-  if (!e.coarse && targets.none()) {
+  if (!e.coarse && !has_other_sharer(e.sharers, r, cpu_count())) {
     e.st = State::kExclusive;
     e.owner = r;
     e.sharers.reset();
@@ -516,22 +522,27 @@ void Directory::send_recall(sim::CpuId owner, sim::Addr block,
 }
 
 void Directory::send_invals(Entry& e, sim::Addr block, sim::CpuId except) {
-  // Coarse entries (pointer overflow) have lost the exact sharer set:
-  // invalidate every cpu. Caches without the line simply ack, which is
-  // precisely the cost a limited-pointer directory pays.
-  const std::uint32_t total_cpus =
-      static_cast<std::uint32_t>(agents_.caches.size());
+  const std::uint32_t total_cpus = cpu_count();
   std::uint32_t count = 0;
-  for (sim::CpuId c = 0; c < total_cpus; ++c) {
-    const bool target = e.coarse ? true : e.sharers.test(c);
-    if (!target || c == except) continue;
+  auto inval = [&](sim::CpuId c) {
+    if (c == except) return;
     ++count;
     ++stats_.invals_sent;
-    if (e.coarse && !e.sharers.test(c)) ++stats_.broadcast_invals;
     wiring_.post(node_, wiring_.node_of(c), net::MsgClass::kInval,
                  sizes_.ctrl(), [cache = agents_.caches[c], block] {
                    cache->on_inval(block);
                  });
+  };
+  if (e.coarse) {
+    // Pointer overflow has lost the exact sharer set: invalidate every
+    // cpu. Caches without the line simply ack, which is precisely the
+    // cost a limited-pointer directory pays.
+    for (sim::CpuId c = 0; c < total_cpus; ++c) {
+      if (c != except && !e.sharers.test(c)) ++stats_.broadcast_invals;
+      inval(c);
+    }
+  } else {
+    e.sharers.for_each(total_cpus, inval);
   }
   assert(count > 0);
   e.txn.pending_acks = count;
@@ -619,7 +630,7 @@ void Directory::finish_txn(sim::Addr block) {
       e.coarse = false;
       if (t.owner_retained) e.sharers.set(t.recall_from);
       e.owner = sim::kInvalidCpu;
-      e.st = e.sharers.any() ? State::kShared : State::kUncached;
+      e.st = e.sharers.none() ? State::kUncached : State::kShared;
       e.amu_sharer = true;
       const std::uint64_t value = backing_.read_word(t.word_addr);
       // Hold the block busy until the AMU has installed the word: a GetX

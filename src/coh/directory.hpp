@@ -7,7 +7,6 @@
 // pipeline and is the source of home hot-spotting under contention.
 #pragma once
 
-#include <bitset>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -157,7 +156,7 @@ class Directory {
   struct Entry {
     State st = State::kUncached;
     bool coarse = false;  // limited-pointer overflow: sharers unknown
-    std::bitset<kMaxCpus> sharers;
+    SharerSet sharers;
     sim::CpuId owner = sim::kInvalidCpu;
     bool amu_sharer = false;
     bool busy = false;
@@ -185,7 +184,7 @@ class Directory {
   /// that node. The sharer snapshot travels by value in the fan-out
   /// closure (PDES: this runs on `n`'s domain thread, which must not
   /// touch home-directory state).
-  void deliver_put(const std::bitset<kMaxCpus>& targets, sim::Addr addr,
+  void deliver_put(const SharerSet& targets, sim::Addr addr,
                    std::uint64_t value, sim::NodeId n);
 
   /// Serializes message processing through the directory pipeline.
@@ -213,6 +212,9 @@ class Directory {
   /// Registers a sharer, tipping the entry into coarse mode when the
   /// pointer limit is exceeded.
   void add_sharer(Entry& e, sim::CpuId cpu);
+  [[nodiscard]] std::uint32_t cpu_count() const {
+    return static_cast<std::uint32_t>(agents_.caches.size());
+  }
   void send_invals(Entry& e, sim::Addr block, sim::CpuId except);
   void reply_data(sim::CpuId r, sim::Addr block, bool exclusive);
   void maybe_finish_txn(sim::Addr block);
@@ -230,9 +232,11 @@ class Directory {
   MsgSizes sizes_;
   sim::Cycle busy_until_ = 0;  // occupancy pipeline
 
-  // Entries are dominated by the kMaxCpus-wide sharer bitset (~600 bytes
-  // at 4096 CPUs); 64 per slab (the AddrTable default) keeps allocation
-  // rare without pinning much idle memory per directory.
+  // Entries are dominated by the kMaxCpus-wide SharerSet (512 B of a
+  // ~600-byte entry; sharer walks read only the machine's words, but the
+  // storage is not sized to the machine); 64 per slab (the AddrTable
+  // default) keeps allocation rare without pinning much idle memory per
+  // directory.
   ds::AddrTable<Entry> entries_;
   ds::WaitPool<sim::InlineFn> wait_pool_;
 

@@ -1,7 +1,9 @@
 #include "sim/stats_registry.hpp"
 
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 namespace amo::sim {
 
@@ -88,19 +90,34 @@ Json StatsRegistry::value(const std::string& name) const {
 }
 
 Json StatsRegistry::snapshot() const {
+  // Names are resolved against the previous entry's path: `path` holds
+  // the group segments of the previous name and the object each one
+  // names, so a run of entries under one group looks up only the
+  // segments after their shared prefix. A group that comes back after
+  // others falls through to the ordinary operator[] lookup, which finds
+  // the existing object. An insert into an object moves that object's
+  // children in memory, so the path is cut to the object's own depth
+  // before each lookup that may insert.
   Json root = Json::object();
+  std::vector<std::pair<std::string_view, Json*>> path;
   for (const Entry& e : entries_) {
-    Json* node = &root;
+    const std::string_view name = e.name;
+    std::size_t depth = 0;
     std::size_t start = 0;
-    while (true) {
-      const std::size_t dot = e.name.find('.', start);
-      if (dot == std::string::npos) {
-        (*node)[e.name.substr(start)] = read(e);
-        break;
+    for (std::size_t dot = name.find('.'); dot != std::string_view::npos;
+         dot = name.find('.', start)) {
+      const std::string_view seg = name.substr(start, dot - start);
+      if (depth >= path.size() || path[depth].first != seg) {
+        path.resize(depth);
+        Json& parent = depth == 0 ? root : *path.back().second;
+        path.emplace_back(seg, &parent[std::string(seg)]);
       }
-      node = &(*node)[e.name.substr(start, dot - start)];
+      ++depth;
       start = dot + 1;
     }
+    path.resize(depth);
+    Json& parent = depth == 0 ? root : *path.back().second;
+    parent[std::string(name.substr(start))] = read(e);
   }
   return root;
 }

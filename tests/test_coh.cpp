@@ -4,8 +4,12 @@
 // fine-grained word get/put extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bitset>
+#include <random>
 #include <vector>
 
+#include "coh/protocol.hpp"
 #include "core/machine.hpp"
 
 namespace amo {
@@ -395,6 +399,84 @@ TEST(WordOps, UncachedAccessesSeeAmuValues) {
   m.run();
   EXPECT_EQ(v1, 7u);
   EXPECT_EQ(v2, 100u);
+  m.check_coherence();
+}
+
+TEST(SharerSet, MatchesBitsetOracle) {
+  std::mt19937 rng(17);
+  for (const std::uint32_t p : {1u, 16u, 63u, 64u, 65u, 1024u, 4096u}) {
+    coh::SharerSet set;
+    std::bitset<coh::kMaxCpus> oracle;
+    std::uniform_int_distribution<std::uint32_t> cpu(0, p - 1);
+    for (int step = 0; step < 400; ++step) {
+      const std::uint32_t c = cpu(rng);
+      if (rng() % 3 == 0) {
+        set.reset(c);
+        oracle.reset(c);
+      } else {
+        set.set(c);
+        oracle.set(c);
+      }
+      if (step % 40 == 0 || step == 399) {
+        std::vector<sim::CpuId> want;
+        for (std::uint32_t b = 0; b < p; ++b) {
+          if (oracle.test(b)) want.push_back(b);
+          ASSERT_EQ(set.test(b), oracle.test(b)) << "P=" << p << " cpu " << b;
+        }
+        std::vector<sim::CpuId> got;
+        set.for_each(p, [&](sim::CpuId b) { got.push_back(b); });
+        ASSERT_EQ(got, want) << "P=" << p << " step " << step;
+        EXPECT_EQ(set.none(), oracle.none());
+        EXPECT_EQ(set.count(), oracle.count());
+        // A lower limit visits only the set bits below it.
+        std::vector<sim::CpuId> below;
+        set.for_each(p / 2, [&](sim::CpuId b) { below.push_back(b); });
+        std::erase_if(want, [&](sim::CpuId b) { return b >= p / 2; });
+        EXPECT_EQ(below, want);
+      }
+    }
+    set.reset();
+    EXPECT_TRUE(set.none());
+    EXPECT_EQ(set.count(), 0u);
+  }
+}
+
+TEST(WordOps, SharersOnWordBoundariesGetExactlyTheirUpdatesAndInvals) {
+  // Sharers straddle the 64-bit words of the sharer set. A put wave must
+  // patch exactly their caches, and a GetX must invalidate exactly them.
+  constexpr std::uint32_t kCpus = 1024;
+  const std::vector<sim::CpuId> sharers = {63, 64, 127, 1023};
+  core::Machine m(cfg_with(kCpus));
+  const sim::Addr a = m.galloc().alloc_word_line(0);
+  std::uint32_t loaded = 0;
+  for (const sim::CpuId c : sharers) {
+    m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
+      (void)co_await t.load(a);
+      ++loaded;
+    });
+  }
+  std::vector<std::uint64_t> after_put(kCpus, 0);
+  m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
+    while (loaded < sharers.size()) co_await t.delay(200);
+    (void)co_await t.amo_fetch_add(a, 5);  // eager put to every sharer
+    co_await t.delay(20000);               // let the wave land
+    for (sim::CpuId c = 0; c < kCpus; ++c) {
+      after_put[c] = m.core(c).cache().stats().word_updates;
+    }
+    co_await t.store(a, 99);  // GetX: invalidate the sharers
+  });
+  m.run();
+  const coh::DirStats& dir = m.dir(0).stats();
+  EXPECT_EQ(dir.word_updates_sent, sharers.size());  // one node each
+  EXPECT_EQ(dir.invals_sent, sharers.size());
+  for (sim::CpuId c = 0; c < kCpus; ++c) {
+    const bool sharer =
+        std::find(sharers.begin(), sharers.end(), c) != sharers.end();
+    EXPECT_EQ(after_put[c], sharer ? 1u : 0u) << "cpu" << c;
+    EXPECT_EQ(m.core(c).cache().stats().invals, sharer ? 1u : 0u)
+        << "cpu" << c;
+  }
+  EXPECT_EQ(m.peek_word(a), 99u);
   m.check_coherence();
 }
 

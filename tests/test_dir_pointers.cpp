@@ -130,6 +130,39 @@ TEST(DirPointers, CoarsePutWaveCostsMoreTrafficWhenSharingIsSparse) {
   EXPECT_GT(coarse, 2 * exact);
 }
 
+TEST(DirPointers, CoarseEntryBroadcastsPastTheFirstSharerWord) {
+  // Three sharers straddling the sharer set's 64-bit words overflow a
+  // 2-pointer directory on a 128-cpu machine: the put wave and the GetX
+  // still reach every node / every cpu, not just the recorded sharers.
+  constexpr std::uint32_t kCpus = 128;
+  core::Machine m(limited_cfg(kCpus, 2));
+  const sim::Addr a = m.galloc().alloc_word_line(0);
+  std::uint32_t loaded = 0;
+  for (sim::CpuId c : {63u, 64u, 127u}) {
+    m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
+      (void)co_await t.load(a);
+      ++loaded;
+    });
+  }
+  m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
+    while (loaded < 3) co_await t.delay(200);
+    (void)co_await t.amo_fetch_add(a, 1);  // coarse put wave
+    co_await t.delay(20000);
+    co_await t.store(a, 7);  // coarse invalidation
+  });
+  m.run();
+  const coh::DirStats& dir = m.dir(0).stats();
+  EXPECT_EQ(dir.overflows, 1u);
+  EXPECT_EQ(dir.word_updates_sent, m.config().num_nodes());
+  EXPECT_EQ(dir.invals_sent, kCpus - 1);          // everyone but the writer
+  EXPECT_EQ(dir.broadcast_invals, kCpus - 1 - 3);  // minus the true sharers
+  for (sim::CpuId c = 1; c < kCpus; ++c) {
+    EXPECT_EQ(m.core(c).cache().stats().invals, 1u) << "cpu" << c;
+  }
+  EXPECT_EQ(m.peek_word(a), 7u);
+  m.check_coherence();
+}
+
 TEST(DirPointers, ExclusiveTransitionClearsCoarse) {
   core::Machine m(limited_cfg(8, 1));
   const sim::Addr a = m.galloc().alloc_word_line(0);

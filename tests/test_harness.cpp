@@ -495,5 +495,24 @@ TEST(Registry, LooksUpByNameOnly) {
             "table2_barriers");
 }
 
+TEST(Registry, CpusWinsOverQuick) {
+  // --quick picks a workload's short CPU list only when --cpus names none.
+  const Workload* w = WorkloadRegistry::instance().find("microbench_hier");
+  ASSERT_NE(w, nullptr);
+  const CliOptions opt = parse({"--quick", "--cpus=64"});
+  const std::vector<core::SystemConfig> cfgs =
+      materialize(w->build(opt), base_config(opt));
+  ASSERT_FALSE(cfgs.empty());
+  for (const core::SystemConfig& c : cfgs) EXPECT_EQ(c.num_cpus, 64u);
+
+  const CliOptions quick = parse({"--quick"});
+  std::set<std::uint32_t> counts;
+  for (const core::SystemConfig& c :
+       materialize(w->build(quick), base_config(quick))) {
+    counts.insert(c.num_cpus);
+  }
+  EXPECT_EQ(counts, (std::set<std::uint32_t>{64, 256}));
+}
+
 }  // namespace
 }  // namespace amo::bench

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <random>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "sim/json.hpp"
 #include "sim/stats.hpp"
@@ -164,6 +169,52 @@ TEST(StatsRegistry, DuplicateNameThrows) {
 TEST(StatsRegistry, UnknownNameThrows) {
   StatsRegistry reg;
   EXPECT_THROW((void)reg.value("no.such"), std::out_of_range);
+}
+
+TEST(StatsRegistry, SnapshotMatchesRootWalkOnRandomNames) {
+  // Random dotted names of depth 1-4: runs under a shared prefix, groups
+  // that come back after other groups, and leaves mixed with subgroups in
+  // one object. Group segments (g*) and leaf segments (x*) never collide,
+  // so no name is both a value and an object. The reference resolves
+  // every name from the root with operator[].
+  std::mt19937 rng(5);
+  for (int trial = 0; trial < 40; ++trial) {
+    StatsRegistry reg;
+    std::deque<std::uint64_t> values;
+    std::set<std::string> used;
+    std::vector<std::string> names;
+    std::vector<std::string> prev;  // group segments of the last name
+    while (names.size() < 120) {
+      // Keep 0..all of the previous groups, then add fresh ones.
+      const std::size_t keep = rng() % (prev.size() + 1);
+      std::vector<std::string> groups(prev.begin(), prev.begin() + keep);
+      const std::size_t depth = rng() % 4;  // group segments: 0..3
+      while (groups.size() < depth) {
+        groups.push_back(std::string(1, 'g') + std::to_string(rng() % 3));
+      }
+      groups.resize(depth);
+      std::string name;
+      for (const std::string& g : groups) name.append(g).append(1, '.');
+      name.append(1, 'x').append(std::to_string(rng() % 6));
+      if (!used.insert(name).second) continue;
+      values.push_back(names.size());
+      reg.add_counter(name, &values.back());
+      names.push_back(name);
+      prev = groups;
+    }
+    Json want = Json::object();
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      Json* node = &want;
+      std::size_t start = 0;
+      for (std::size_t dot = names[i].find('.'); dot != std::string::npos;
+           dot = names[i].find('.', start)) {
+        node = &(*node)[names[i].substr(start, dot - start)];
+        start = dot + 1;
+      }
+      (*node)[names[i].substr(start)] = Json(std::uint64_t{i});
+    }
+    ASSERT_EQ(reg.snapshot().dump(), want.dump()) << "trial " << trial;
+  }
 }
 
 }  // namespace
