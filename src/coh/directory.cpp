@@ -8,11 +8,14 @@ namespace amo::coh {
 
 namespace {
 
-/// Whether any cpu below `limit` other than `r` is in the set.
-bool has_other_sharer(const SharerSet& sharers, sim::CpuId r,
-                      std::uint32_t limit) {
+/// A put wave's copy of the machine's sharer words (above 64 CPUs).
+using PooledWords =
+    std::vector<std::uint64_t, sim::FramePoolAllocator<std::uint64_t>>;
+
+/// Whether any cpu other than `r` is in the set.
+bool has_other_sharer(SharerBits sharers, sim::CpuId r) {
   bool other = false;
-  sharers.for_each(limit, [&](sim::CpuId c) { other = other || c != r; });
+  sharers.for_each([&](sim::CpuId c) { other = other || c != r; });
   return other;
 }
 
@@ -28,8 +31,12 @@ Directory::Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
       backing_(backing),
       dram_(dram),
       config_(config),
-      sizes_{backing.line_bytes()} {
+      sizes_{backing.line_bytes()},
+      sharers_(cpu_count()),
+      put_targets_(sharers_.words()) {
   assert(backing.words_per_line() <= mem::LineBuf::kMaxWords);
+  // The sharer set is a slot, not a machine-wide bitmap: keep it that way.
+  static_assert(sizeof(Entry) <= 160);
 }
 
 // ------------------------------------------------------------ entry table
@@ -44,9 +51,11 @@ void Directory::maybe_reclaim(sim::Addr block) {
   if (e == nullptr) return;
   const bool vacant = e->st == State::kUncached && !e->busy &&
                       !e->amu_sharer && !e->coarse &&
-                      wait_pool_.empty(e->waiting) && e->sharers.none();
+                      wait_pool_.empty(e->waiting) &&
+                      sharers_.bits(e->sharers).none();
   if (!vacant) return;
   // Reset for reuse; the table recycles the entry through its free list.
+  sharers_.release(e->sharers);
   e->owner = sim::kInvalidCpu;
   e->txn = Txn{};
   entries_.erase(block);
@@ -62,7 +71,7 @@ sim::InlineFn Directory::wait_pop(Entry& e) {
   return wait_pool_.pop(e.waiting);
 }
 
-void Directory::deliver_put(const SharerSet& targets, sim::Addr addr,
+void Directory::deliver_put(SharerBits targets, sim::Addr addr,
                             std::uint64_t value, sim::NodeId n) {
   // Runs at node n — under PDES possibly on a different domain thread
   // than this (home) directory. It touches only n's own caches plus the
@@ -231,24 +240,26 @@ void Directory::word_put(sim::Addr addr, std::uint64_t value) {
     // The snapshot travels *by value* inside the delivery closure — under
     // PDES, deliveries execute on the target node's domain thread, so the
     // wave must not reach back into home-directory state.
-    SharerSet targets;
+    std::vector<std::uint64_t>& targets = put_targets_;
+    std::fill(targets.begin(), targets.end(), 0);
     const sim::CpuId total = cpu_count();
     if (e.st == State::kExclusive) {
-      targets.set(e.owner);
+      targets[e.owner / 64] = SharerBits::bit(e.owner);
     } else if (e.coarse) {
       // Pointer overflow: the put wave must reach everyone. This is the
       // interesting interaction: AMO's cheap word updates depend on the
       // directory knowing its sharers (bench/ablation_dir_pointers).
-      for (sim::CpuId c = 0; c < total; ++c) targets.set(c);
+      std::fill(targets.begin(), targets.end(), ~std::uint64_t{0});
+      if (total % 64 != 0) targets.back() = SharerBits::bit(total) - 1;
     } else {
-      targets = e.sharers;
+      std::ranges::copy(sharers_.bits(e.sharers).words(), targets.begin());
     }
 
     // Target nodes, ascending (cpu ids ascend within a node, so walking
     // the set bits in order yields nodes in order — the deterministic
     // fan-out order the old sorted-vector path produced).
     put_nodes_.clear();
-    targets.for_each(total, [this](sim::CpuId c) {
+    SharerBits(targets).for_each([this](sim::CpuId c) {
       const sim::NodeId n = wiring_.node_of(c);
       if (put_nodes_.empty() || put_nodes_.back() != n) put_nodes_.push_back(n);
     });
@@ -257,13 +268,26 @@ void Directory::word_put(sim::Addr addr, std::uint64_t value) {
 
     const std::uint32_t bytes =
         config_.put_block_granularity ? sizes_.data() : sizes_.word();
-    // The sharer-set capture overflows the inline buffer, so the fan-out
-    // closure takes the frame-pooled boxed path — one pooled allocation
-    // per wave, shared across all target nodes by post_update.
-    wiring_.post_update(node_, put_nodes_, bytes,
-                        [this, targets, addr, value](sim::NodeId n) {
-                          deliver_put(targets, addr, value, n);
-                        });
+    // post_update shares one fan-out closure across all target nodes. Up
+    // to 64 CPUs the target mask rides in it inline; above, the closure
+    // owns a frame-pooled copy of the machine's words. Either way the
+    // closure fits InlineFn's buffer, so the wave boxes nothing.
+    using FanOut = sim::InlineFnT<sim::NodeId>;
+    if (targets.size() == 1) {
+      auto fan_out = [this, addr, value, mask = targets[0]](sim::NodeId n) {
+        deliver_put(SharerBits({&mask, 1}), addr, value, n);
+      };
+      static_assert(FanOut::fits_inline<decltype(fan_out)>());
+      wiring_.post_update(node_, put_nodes_, bytes, std::move(fan_out));
+    } else {
+      auto fan_out = [this, addr, value,
+                      words = PooledWords(targets.begin(), targets.end())](
+                         sim::NodeId n) {
+        deliver_put(SharerBits(words), addr, value, n);
+      };
+      static_assert(FanOut::fits_inline<decltype(fan_out)>());
+      wiring_.post_update(node_, put_nodes_, bytes, std::move(fan_out));
+    }
   });
 }
 
@@ -336,17 +360,17 @@ void Directory::handle_getx(sim::CpuId r, sim::Addr block) {
       e.busy = true;
       e.st = State::kExclusive;
       e.owner = r;
-      e.sharers.reset();
+      sharers_.clear(e.sharers);
       e.coarse = false;
       reply_data(r, block, /*exclusive=*/true);
       return;
     case State::kShared: {
       flush_amu(block);
-      if (!e.coarse && !has_other_sharer(e.sharers, r, cpu_count())) {
+      if (!e.coarse && !has_other_sharer(sharers_.bits(e.sharers), r)) {
         e.busy = true;
         e.st = State::kExclusive;
         e.owner = r;
-        e.sharers.reset();
+        sharers_.clear(e.sharers);
         reply_data(r, block, /*exclusive=*/true);
         return;
       }
@@ -379,7 +403,8 @@ void Directory::handle_upgrade(sim::CpuId r, sim::Addr block) {
     wait_push(e, [this, r, block] { handle_upgrade(r, block); });
     return;
   }
-  if (e.st != State::kShared || !e.sharers.test(r) || e.amu_sharer) {
+  if (e.st != State::kShared || !sharers_.bits(e.sharers).test(r) ||
+      e.amu_sharer) {
     // Serve a full GetX instead (the cache accepts DataE in SM) when the
     // requestor's copy was invalidated by a crossing transaction, or when
     // the AMU holds words of this block: the requestor's copy may be
@@ -389,10 +414,10 @@ void Directory::handle_upgrade(sim::CpuId r, sim::Addr block) {
     return;
   }
   flush_amu(block);
-  if (!e.coarse && !has_other_sharer(e.sharers, r, cpu_count())) {
+  if (!e.coarse && !has_other_sharer(sharers_.bits(e.sharers), r)) {
     e.st = State::kExclusive;
     e.owner = r;
-    e.sharers.reset();
+    sharers_.clear(e.sharers);
     wiring_.post(node_, wiring_.node_of(r), net::MsgClass::kResponse,
                  sizes_.ctrl(), [cache = agents_.caches[r], block] {
                    cache->on_upgrade_ack(block);
@@ -503,9 +528,9 @@ void Directory::flush_amu(sim::Addr block) {
 
 
 void Directory::add_sharer(Entry& e, sim::CpuId cpu) {
-  e.sharers.set(cpu);
+  sharers_.set(e.sharers, cpu);
   if (config_.sharer_pointer_limit != 0 && !e.coarse &&
-      e.sharers.count() > config_.sharer_pointer_limit) {
+      sharers_.bits(e.sharers).count() > config_.sharer_pointer_limit) {
     e.coarse = true;
     ++stats_.overflows;
   }
@@ -533,16 +558,17 @@ void Directory::send_invals(Entry& e, sim::Addr block, sim::CpuId except) {
                    cache->on_inval(block);
                  });
   };
+  const SharerBits sharers = sharers_.bits(e.sharers);
   if (e.coarse) {
     // Pointer overflow has lost the exact sharer set: invalidate every
     // cpu. Caches without the line simply ack, which is precisely the
     // cost a limited-pointer directory pays.
     for (sim::CpuId c = 0; c < total_cpus; ++c) {
-      if (c != except && !e.sharers.test(c)) ++stats_.broadcast_invals;
+      if (c != except && !sharers.test(c)) ++stats_.broadcast_invals;
       inval(c);
     }
   } else {
-    e.sharers.for_each(total_cpus, inval);
+    sharers.for_each(inval);
   }
   assert(count > 0);
   e.txn.pending_acks = count;
@@ -588,9 +614,9 @@ void Directory::finish_txn(sim::Addr block) {
   // deferred queue. Ack-only completions release it here.
   switch (t.kind) {
     case Txn::Kind::kGetS: {
-      e.sharers.reset();
+      sharers_.clear(e.sharers);
       e.coarse = false;
-      if (t.owner_retained) e.sharers.set(t.recall_from);
+      if (t.owner_retained) sharers_.set(e.sharers, t.recall_from);
       add_sharer(e, t.requestor);
       e.owner = sim::kInvalidCpu;
       e.st = State::kShared;
@@ -605,7 +631,7 @@ void Directory::finish_txn(sim::Addr block) {
     }
     case Txn::Kind::kGetX:
     case Txn::Kind::kUpgrade: {
-      e.sharers.reset();
+      sharers_.clear(e.sharers);
       e.coarse = false;
       e.owner = t.requestor;
       e.st = State::kExclusive;
@@ -626,11 +652,12 @@ void Directory::finish_txn(sim::Addr block) {
       break;
     }
     case Txn::Kind::kWordGet: {
-      e.sharers.reset();
+      sharers_.clear(e.sharers);
       e.coarse = false;
-      if (t.owner_retained) e.sharers.set(t.recall_from);
+      if (t.owner_retained) sharers_.set(e.sharers, t.recall_from);
       e.owner = sim::kInvalidCpu;
-      e.st = e.sharers.none() ? State::kUncached : State::kShared;
+      e.st = sharers_.bits(e.sharers).none() ? State::kUncached
+                                              : State::kShared;
       e.amu_sharer = true;
       const std::uint64_t value = backing_.read_word(t.word_addr);
       // Hold the block busy until the AMU has installed the word: a GetX
@@ -666,7 +693,7 @@ Directory::State Directory::state_of(sim::Addr block) const {
 
 bool Directory::is_sharer(sim::Addr block, sim::CpuId cpu) const {
   const Entry* e = peek_entry(block);
-  return e != nullptr && e->sharers.test(cpu);
+  return e != nullptr && sharers_.bits(e->sharers).test(cpu);
 }
 
 sim::CpuId Directory::owner_of(sim::Addr block) const {

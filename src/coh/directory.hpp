@@ -156,7 +156,7 @@ class Directory {
   struct Entry {
     State st = State::kUncached;
     bool coarse = false;  // limited-pointer overflow: sharers unknown
-    SharerSet sharers;
+    SharerSets::Slot sharers = 0;  // in sharers_
     sim::CpuId owner = sim::kInvalidCpu;
     bool amu_sharer = false;
     bool busy = false;
@@ -183,9 +183,9 @@ class Directory {
   /// Delivers one word-put at node `n`: patches every targeted cache on
   /// that node. The sharer snapshot travels by value in the fan-out
   /// closure (PDES: this runs on `n`'s domain thread, which must not
-  /// touch home-directory state).
-  void deliver_put(const SharerSet& targets, sim::Addr addr,
-                   std::uint64_t value, sim::NodeId n);
+  /// touch home-directory state, the sharer pool included).
+  void deliver_put(SharerBits targets, sim::Addr addr, std::uint64_t value,
+                   sim::NodeId n);
 
   /// Serializes message processing through the directory pipeline.
   /// `cycles` == 0 uses the default per-message occupancy.
@@ -232,15 +232,17 @@ class Directory {
   MsgSizes sizes_;
   sim::Cycle busy_until_ = 0;  // occupancy pipeline
 
-  // Entries are dominated by the kMaxCpus-wide SharerSet (512 B of a
-  // ~600-byte entry; sharer walks read only the machine's words, but the
-  // storage is not sized to the machine); 64 per slab (the AddrTable
-  // default) keeps allocation rare without pinning much idle memory per
-  // directory.
+  // An entry holds its sharer set in one 8-byte slot (the bits up to 64
+  // CPUs, a block index into `sharers_` above), so it stays small at any
+  // machine size; 64 per slab (the AddrTable default) keeps allocation
+  // rare without pinning much idle memory per directory.
   ds::AddrTable<Entry> entries_;
+  SharerSets sharers_;
   ds::WaitPool<sim::InlineFn> wait_pool_;
 
-  std::vector<sim::NodeId> put_nodes_;  // scratch target list, reused per put
+  // Scratch for word_put, reused per put: the target set and node list.
+  std::vector<std::uint64_t> put_targets_;
+  std::vector<sim::NodeId> put_nodes_;
 
   DirStats stats_;
 };

@@ -99,6 +99,7 @@ class Json {
 
   /// Elements of an object / array (throws on type mismatch).
   [[nodiscard]] const Object& items() const { return std::get<Object>(value_); }
+  [[nodiscard]] Object& items() { return std::get<Object>(value_); }
   [[nodiscard]] const Array& elements() const { return std::get<Array>(value_); }
   [[nodiscard]] std::size_t size() const;
 

@@ -1,7 +1,9 @@
 #include "sim/stats_registry.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -93,13 +95,18 @@ Json StatsRegistry::snapshot() const {
   // Names are resolved against the previous entry's path: `path` holds
   // the group segments of the previous name and the object each one
   // names, so a run of entries under one group looks up only the
-  // segments after their shared prefix. A group that comes back after
-  // others falls through to the ordinary operator[] lookup, which finds
-  // the existing object. An insert into an object moves that object's
-  // children in memory, so the path is cut to the object's own depth
-  // before each lookup that may insert.
+  // segments after their shared prefix. Those lookups go through
+  // `groups`, which maps a group's dotted prefix ("node3", "node3.dir")
+  // to the position of its key in the parent object: a machine has
+  // thousands of top-level groups, and scanning the root's keys for each
+  // would cost their square. Positions rather than pointers, because an
+  // insert into an object moves its children in memory; for the same
+  // reason the path is cut to an object's own depth before each lookup
+  // that may insert into it. A leaf scans only its group's few keys.
   Json root = Json::object();
   std::vector<std::pair<std::string_view, Json*>> path;
+  std::unordered_map<std::string_view, std::size_t> groups;
+  groups.reserve(entries_.size() / 4);  // no rehash as groups arrive
   for (const Entry& e : entries_) {
     const std::string_view name = e.name;
     std::size_t depth = 0;
@@ -110,14 +117,26 @@ Json StatsRegistry::snapshot() const {
       if (depth >= path.size() || path[depth].first != seg) {
         path.resize(depth);
         Json& parent = depth == 0 ? root : *path.back().second;
-        path.emplace_back(seg, &parent[std::string(seg)]);
+        Json::Object& kids = parent.items();
+        const auto [it, fresh] =
+            groups.try_emplace(name.substr(0, dot), kids.size());
+        if (fresh) kids.emplace_back(seg, Json::object());
+        path.emplace_back(seg, &kids[it->second].second);
       }
       ++depth;
       start = dot + 1;
     }
     path.resize(depth);
     Json& parent = depth == 0 ? root : *path.back().second;
-    parent[std::string(name.substr(start))] = read(e);
+    Json::Object& kids = parent.items();
+    const std::string_view leaf = name.substr(start);
+    const auto it =
+        std::ranges::find(kids, leaf, &Json::Object::value_type::first);
+    if (it == kids.end()) {
+      kids.emplace_back(leaf, read(e));
+    } else {
+      it->second = read(e);
+    }
   }
   return root;
 }

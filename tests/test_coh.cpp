@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bitset>
 #include <random>
 #include <vector>
@@ -403,81 +404,102 @@ TEST(WordOps, UncachedAccessesSeeAmuValues) {
 }
 
 TEST(SharerSet, MatchesBitsetOracle) {
+  // Three sets drawn from one machine-sized pool, so pooled blocks are
+  // taken, cleared, released and reused while other sets hold theirs.
   std::mt19937 rng(17);
-  for (const std::uint32_t p : {1u, 16u, 63u, 64u, 65u, 1024u, 4096u}) {
-    coh::SharerSet set;
-    std::bitset<coh::kMaxCpus> oracle;
+  for (const std::uint32_t p :
+       {1u, 16u, 63u, 64u, 65u, 1024u, 4096u, 4160u}) {
+    coh::SharerSets pool(p);
+    const std::uint32_t words = (p + 63) / 64;
+    ASSERT_EQ(pool.words(), words) << "P=" << p;
+    std::array<coh::SharerSets::Slot, 3> sets{};
+    std::array<std::bitset<8192>, 3> oracle;
     std::uniform_int_distribution<std::uint32_t> cpu(0, p - 1);
-    for (int step = 0; step < 400; ++step) {
-      const std::uint32_t c = cpu(rng);
-      if (rng() % 3 == 0) {
-        set.reset(c);
-        oracle.reset(c);
+    for (int step = 0; step < 1200; ++step) {
+      const std::size_t i = rng() % sets.size();
+      if (const std::uint32_t op = rng() % 50; op == 0) {
+        pool.clear(sets[i]);
+        oracle[i].reset();
+      } else if (op == 1) {
+        pool.release(sets[i]);
+        oracle[i].reset();
+        EXPECT_EQ(sets[i], 0u);
       } else {
-        set.set(c);
-        oracle.set(c);
+        const std::uint32_t c = cpu(rng);
+        pool.set(sets[i], c);
+        oracle[i].set(c);
       }
-      if (step % 40 == 0 || step == 399) {
+      if (step % 40 != 0 && step != 1199) continue;
+      for (std::size_t k = 0; k < sets.size(); ++k) {
+        const coh::SharerBits bits = pool.bits(sets[k]);
+        // A set reads no words but its machine's, and clear past P.
+        ASSERT_LE(bits.words().size(), words);
         std::vector<sim::CpuId> want;
-        for (std::uint32_t b = 0; b < p; ++b) {
-          if (oracle.test(b)) want.push_back(b);
-          ASSERT_EQ(set.test(b), oracle.test(b)) << "P=" << p << " cpu " << b;
+        for (std::uint32_t b = 0; b < words * 64; ++b) {
+          if (oracle[k].test(b)) want.push_back(b);
+          ASSERT_EQ(bits.test(b), oracle[k].test(b))
+              << "P=" << p << " set " << k << " cpu " << b;
         }
         std::vector<sim::CpuId> got;
-        set.for_each(p, [&](sim::CpuId b) { got.push_back(b); });
-        ASSERT_EQ(got, want) << "P=" << p << " step " << step;
-        EXPECT_EQ(set.none(), oracle.none());
-        EXPECT_EQ(set.count(), oracle.count());
-        // A lower limit visits only the set bits below it.
-        std::vector<sim::CpuId> below;
-        set.for_each(p / 2, [&](sim::CpuId b) { below.push_back(b); });
-        std::erase_if(want, [&](sim::CpuId b) { return b >= p / 2; });
-        EXPECT_EQ(below, want);
+        bits.for_each([&](sim::CpuId b) { got.push_back(b); });
+        ASSERT_EQ(got, want) << "P=" << p << " set " << k << " step " << step;
+        EXPECT_EQ(bits.none(), oracle[k].none());
+        EXPECT_EQ(bits.count(), oracle[k].count());
       }
     }
-    set.reset();
-    EXPECT_TRUE(set.none());
-    EXPECT_EQ(set.count(), 0u);
+    for (coh::SharerSets::Slot& s : sets) {
+      pool.release(s);
+      EXPECT_TRUE(pool.bits(s).none());
+      EXPECT_EQ(pool.bits(s).count(), 0u);
+    }
   }
 }
 
 TEST(WordOps, SharersOnWordBoundariesGetExactlyTheirUpdatesAndInvals) {
   // Sharers straddle the 64-bit words of the sharer set. A put wave must
   // patch exactly their caches, and a GetX must invalidate exactly them.
-  constexpr std::uint32_t kCpus = 1024;
-  const std::vector<sim::CpuId> sharers = {63, 64, 127, 1023};
-  core::Machine m(cfg_with(kCpus));
-  const sim::Addr a = m.galloc().alloc_word_line(0);
-  std::uint32_t loaded = 0;
-  for (const sim::CpuId c : sharers) {
-    m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
-      (void)co_await t.load(a);
-      ++loaded;
-    });
-  }
-  std::vector<std::uint64_t> after_put(kCpus, 0);
-  m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
-    while (loaded < sharers.size()) co_await t.delay(200);
-    (void)co_await t.amo_fetch_add(a, 5);  // eager put to every sharer
-    co_await t.delay(20000);               // let the wave land
-    for (sim::CpuId c = 0; c < kCpus; ++c) {
-      after_put[c] = m.core(c).cache().stats().word_updates;
+  // At 4160 CPUs the set is 65 words: cpus 4095/4096 straddle the 64th
+  // word boundary and 4159 is the last bit of the last word.
+  struct Case {
+    std::uint32_t cpus;
+    std::vector<sim::CpuId> sharers;
+  };
+  for (const Case& k : {Case{1024, {63, 64, 127, 1023}},
+                        Case{4160, {4095, 4096, 4159}}}) {
+    SCOPED_TRACE(k.cpus);
+    core::Machine m(cfg_with(k.cpus));
+    const sim::Addr a = m.galloc().alloc_word_line(0);
+    std::uint32_t loaded = 0;
+    for (const sim::CpuId c : k.sharers) {
+      m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
+        (void)co_await t.load(a);
+        ++loaded;
+      });
     }
-    co_await t.store(a, 99);  // GetX: invalidate the sharers
-  });
-  m.run();
-  const coh::DirStats& dir = m.dir(0).stats();
-  EXPECT_EQ(dir.word_updates_sent, sharers.size());  // one node each
-  EXPECT_EQ(dir.invals_sent, sharers.size());
-  for (sim::CpuId c = 0; c < kCpus; ++c) {
-    const bool sharer =
-        std::find(sharers.begin(), sharers.end(), c) != sharers.end();
-    EXPECT_EQ(after_put[c], sharer ? 1u : 0u) << "cpu" << c;
-    EXPECT_EQ(m.core(c).cache().stats().invals, sharer ? 1u : 0u)
-        << "cpu" << c;
+    std::vector<std::uint64_t> after_put(k.cpus, 0);
+    m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
+      while (loaded < k.sharers.size()) co_await t.delay(200);
+      (void)co_await t.amo_fetch_add(a, 5);  // eager put to every sharer
+      co_await t.delay(20000);               // let the wave land
+      for (sim::CpuId c = 0; c < k.cpus; ++c) {
+        after_put[c] = m.core(c).cache().stats().word_updates;
+      }
+      co_await t.store(a, 99);  // GetX: invalidate the sharers
+    });
+    m.run();
+    const coh::DirStats& dir = m.dir(0).stats();
+    EXPECT_EQ(dir.word_updates_sent, k.sharers.size());  // one node each
+    EXPECT_EQ(dir.invals_sent, k.sharers.size());
+    for (sim::CpuId c = 0; c < k.cpus; ++c) {
+      const bool sharer = std::find(k.sharers.begin(), k.sharers.end(), c) !=
+                          k.sharers.end();
+      EXPECT_EQ(after_put[c], sharer ? 1u : 0u) << "cpu" << c;
+      EXPECT_EQ(m.core(c).cache().stats().invals, sharer ? 1u : 0u)
+          << "cpu" << c;
+    }
+    EXPECT_EQ(m.peek_word(a), 99u);
+    m.check_coherence();
   }
-  EXPECT_EQ(m.peek_word(a), 99u);
-  m.check_coherence();
 }
 
 }  // namespace
